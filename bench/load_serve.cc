@@ -8,14 +8,14 @@
 //   2. per-call baseline — batch target 1, pipeline depth 1: the QPS an
 //      unbatched serve loop reaches.
 //   3. offered-load sweep — batched server (target 16), pipeline depth
-//      1/4/16/32: QPS and p50/p99 vs offered concurrency; the deepest
-//      row is saturation and must clear 2x the per-call baseline.
-//   4. moderate load — two un-pipelined closed-loop connections: p99
-//      must stay bounded by the configured latency bound (the adaptive
-//      batcher may hold a probe, but never past the deadline).
-//   5. overload — a tiny admission queue flooded with distinct-MAC and
+//      1/4/16/32: QPS and p50/p99 vs offered concurrency. Work-conserving
+//      serving never waits for a batch to fill, so the shallow rows
+//      (depths 1 and 4) must reach 0.9x the per-call QPS; the deepest row
+//      is saturation and must clear 2x it.
+//   4. overload — a tiny admission queue flooded with distinct-MAC and
 //      same-MAC probes: explicit 429s with Retry-After, and
-//      shed-oldest-per-MAC superseding.
+//      shed-oldest-per-MAC superseding. The server is never Start()ed, so
+//      its one handler admits the whole flood before serving any of it.
 //
 //   load_serve [--quick] [--json <path>]
 //
@@ -106,13 +106,14 @@ struct Service {
   sentinel::obs::TelemetryServer http;
   std::thread serving;
 
+  /// `start_drain` false leaves the queue to the waiting handlers alone.
   Service(const DeviceIdentifier* identifier, IdentifyServerConfig config,
-          std::size_t serve_threads)
-      : ids(identifier, std::move(config)),
+          std::size_t serve_threads, bool start_drain = true)
+      : ids(identifier, config),
         http(nullptr, nullptr, {.serve_threads = serve_threads}) {
     http.set_post_routes(&ids, {"/identify", "/ingest"},
                          {"application/octet-stream", "application/json"});
-    ids.Start();
+    if (start_drain) ids.Start();
     http.Start();
     serving = std::thread([this] { http.Serve(); });
   }
@@ -289,8 +290,10 @@ PhaseNumbers Summarize(const ClientRun& run, std::size_t pipeline) {
   return numbers;
 }
 
-constexpr std::uint64_t kLatencyBoundNs = 2'000'000;  // 2 ms
 constexpr std::size_t kBatchTarget = 16;
+/// Shallow pipelines cannot fill a batch; there the batched server must
+/// keep this share of the per-call QPS.
+constexpr double kShallowFloor = 0.9;
 
 }  // namespace
 
@@ -304,7 +307,7 @@ int main(int argc, char** argv) {
   }
   sentinel::bench::MetricsSession session(argc, argv);
   sentinel::bench::Header(
-      "Serving-path load: adaptive micro-batching vs per-call over HTTP",
+      "Serving-path load: work-conserving batching vs per-call over HTTP",
       "the always-on service batches concurrent probes through the batch "
       "fast path; per-call serving pays the full bank scan per request");
 
@@ -335,9 +338,7 @@ int main(int argc, char** argv) {
   std::size_t mismatches = 0;
   {
     Service service(&identifier,
-                    {.queue_depth = 256,
-                     .batch = {.batch_target = kBatchTarget,
-                               .latency_bound_ns = kLatencyBoundNs}},
+                    {.queue_depth = 256, .batch_target = kBatchTarget},
                     /*serve_threads=*/1);
     const auto run = DriveConnection(service.http.port(), requests,
                                      probes.size(), /*pipeline=*/8,
@@ -356,13 +357,15 @@ int main(int argc, char** argv) {
         << "served verdicts diverged from the per-call path";
   }
 
-  const std::size_t saturation_requests = quick ? 1024 : 8192;
+  // Full-mode phases run long enough (~1-2 s each) that thread placement
+  // on a shared VM averages out; 8192-request phases swung the saturation
+  // ratio between 1.8x and 3.2x from run to run.
+  const std::size_t saturation_requests = quick ? 1024 : 32768;
 
   // --- Phase 2: per-call baseline (batch target 1, no pipelining) ------
   PhaseNumbers per_call;
   {
-    Service service(&identifier,
-                    {.queue_depth = 256, .batch = {.batch_target = 1}},
+    Service service(&identifier, {.queue_depth = 256, .batch_target = 1},
                     /*serve_threads=*/1);
     // Warmup, then the timed run.
     (void)DriveConnection(service.http.port(), requests,
@@ -385,9 +388,7 @@ int main(int argc, char** argv) {
   for (const std::size_t pipeline : {std::size_t{1}, std::size_t{4},
                                      std::size_t{16}, std::size_t{32}}) {
     Service service(&identifier,
-                    {.queue_depth = 256,
-                     .batch = {.batch_target = kBatchTarget,
-                               .latency_bound_ns = kLatencyBoundNs}},
+                    {.queue_depth = 256, .batch_target = kBatchTarget},
                     /*serve_threads=*/1);
     (void)DriveConnection(service.http.port(), requests,
                           std::min<std::size_t>(128, saturation_requests),
@@ -396,14 +397,22 @@ int main(int argc, char** argv) {
         DriveConnection(service.http.port(), requests, saturation_requests,
                         pipeline, false),
         pipeline);
-    std::printf("%9zu %9zu %12.0f %10.1f %10.1f\n", numbers.pipeline,
-                numbers.requests, numbers.qps, numbers.p50_us,
-                numbers.p99_us);
+    std::printf("%9zu %9zu %12.0f %10.1f %10.1f   (%.2fx per-call)\n",
+                numbers.pipeline, numbers.requests, numbers.qps,
+                numbers.p50_us, numbers.p99_us, numbers.qps / per_call.qps);
     sweep.push_back(numbers);
     if (pipeline == 32) {
       for (const auto& [size, count] : service.ids.stats().batch_size_counts)
         batch_histogram.emplace_back(size, count);
     }
+  }
+  // No wait for a batch to fill: at depths 1 and 4 the batched server
+  // keeps (nearly) per-call throughput.
+  for (const PhaseNumbers& shallow : {sweep[0], sweep[1]}) {
+    const double ratio = shallow.qps / per_call.qps;
+    SENTINEL_CHECK(ratio >= kShallowFloor)
+        << "batched serving at pipeline depth " << shallow.pipeline
+        << " only " << ratio << "x the per-call baseline";
   }
   const PhaseNumbers& saturation = sweep.back();
   const double speedup = saturation.qps / per_call.qps;
@@ -414,54 +423,13 @@ int main(int argc, char** argv) {
   SENTINEL_CHECK(speedup >= (quick ? 1.2 : 2.0))
       << "batched serving only " << speedup << "x the per-call baseline";
 
-  // --- Phase 4: moderate load — p99 bounded by the latency bound -------
-  PhaseNumbers moderate;
-  {
-    Service service(&identifier,
-                    {.queue_depth = 256,
-                     .batch = {.batch_target = kBatchTarget,
-                               .latency_bound_ns = kLatencyBoundNs}},
-                    /*serve_threads=*/2);
-    const std::size_t per_connection = (quick ? 512 : 2048);
-    ClientRun runs[2];
-    {
-      std::thread second([&] {
-        runs[1] = DriveConnection(service.http.port(), requests,
-                                  per_connection, 1, false);
-      });
-      runs[0] = DriveConnection(service.http.port(), requests, per_connection,
-                                1, false);
-      second.join();
-    }
-    ClientRun merged = std::move(runs[0]);
-    merged.latencies_ns.insert(merged.latencies_ns.end(),
-                               runs[1].latencies_ns.begin(),
-                               runs[1].latencies_ns.end());
-    merged.elapsed_s = std::max(merged.elapsed_s, runs[1].elapsed_s);
-    moderate = Summarize(merged, 1);
-    std::printf(
-        "moderate load (2 conns, no pipelining): %.0f qps, p50 %.1f us, "
-        "p99 %.1f us (bound %.0f us)\n",
-        moderate.qps, moderate.p50_us, moderate.p99_us,
-        static_cast<double>(kLatencyBoundNs) / 1e3);
-    // The adaptive batcher may hold a probe toward the deadline but never
-    // materially past it; 2x headroom absorbs scheduler noise on CI.
-    SENTINEL_CHECK(moderate.p99_us <=
-                   2.0 * static_cast<double>(kLatencyBoundNs) / 1e3)
-        << "moderate-load p99 " << moderate.p99_us
-        << "us blew the configured latency bound";
-  }
-
-  // --- Phase 5: overload — explicit 429s and shed-oldest-per-MAC -------
+  // --- Phase 4: overload — explicit 429s and shed-oldest-per-MAC -------
   std::size_t overload_rejected = 0;
   std::size_t overload_served = 0;
   std::uint64_t shed_count = 0;
   {
-    Service service(&identifier,
-                    {.queue_depth = 4,
-                     .batch = {.batch_target = 64,
-                               .latency_bound_ns = 100'000'000}},
-                    /*serve_threads=*/1);
+    Service service(&identifier, {.queue_depth = 4, .batch_target = 64},
+                    /*serve_threads=*/1, /*start_drain=*/false);
     // Distinct MACs: queue fills, the tail is rejected with Retry-After.
     auto flood = DriveConnection(service.http.port(), requests, 64, 64, true);
     overload_rejected = flood.too_many;
@@ -496,29 +464,24 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "  \"bank_types\": %zu,\n", bank_types);
     std::fprintf(f, "  \"batch_target\": %zu,\n", kBatchTarget);
-    std::fprintf(f, "  \"latency_bound_ms\": %.1f,\n",
-                 static_cast<double>(kLatencyBoundNs) / 1e6);
     std::fprintf(f,
                  "  \"differential\": {\"probes\": %zu, \"mismatches\": %zu},"
                  "\n",
                  probes.size(), mismatches);
-    const auto phase = [&](const char* name, const PhaseNumbers& n,
-                           const char* tail) {
-      std::fprintf(f,
-                   "  \"%s\": {\"pipeline\": %zu, \"requests\": %zu, "
-                   "\"qps\": %.1f, \"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
-                   name, n.pipeline, n.requests, n.qps, n.p50_us, n.p99_us,
-                   tail);
-    };
-    phase("per_call", per_call, ",");
+    std::fprintf(f,
+                 "  \"per_call\": {\"pipeline\": %zu, \"requests\": %zu, "
+                 "\"qps\": %.1f, \"p50_us\": %.1f, \"p99_us\": %.1f},\n",
+                 per_call.pipeline, per_call.requests, per_call.qps,
+                 per_call.p50_us, per_call.p99_us);
     std::fprintf(f, "  \"batched_sweep\": [\n");
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const auto& n = sweep[i];
       std::fprintf(f,
                    "    {\"pipeline\": %zu, \"requests\": %zu, \"qps\": %.1f,"
-                   " \"p50_us\": %.1f, \"p99_us\": %.1f}%s\n",
+                   " \"p50_us\": %.1f, \"p99_us\": %.1f,"
+                   " \"vs_per_call\": %.2f}%s\n",
                    n.pipeline, n.requests, n.qps, n.p50_us, n.p99_us,
-                   i + 1 < sweep.size() ? "," : "");
+                   n.qps / per_call.qps, i + 1 < sweep.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"speedup_batched_vs_per_call\": %.2f,\n", speedup);
@@ -528,7 +491,6 @@ int main(int argc, char** argv) {
                    batch_histogram[i].first,
                    static_cast<unsigned long long>(batch_histogram[i].second));
     std::fprintf(f, "},\n");
-    phase("moderate", moderate, ",");
     std::fprintf(f,
                  "  \"overload\": {\"queue_depth\": 4, \"rejected\": %zu, "
                  "\"served\": %zu, \"shed_same_mac\": %llu},\n",

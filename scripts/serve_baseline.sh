@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates the committed serving-path load baseline: builds the
 # load_serve bench in Release and writes BENCH_serve.json at the
-# repository root. The bench asserts the tentpole criteria itself
-# (served verdicts bit-identical to per-call Identify; batched QPS at
-# saturation >= 2x the per-call baseline; moderate-load p99 within the
-# configured latency bound).
+# repository root. The bench asserts its criteria itself (served verdicts
+# bit-identical to per-call Identify; batched QPS >= 0.9x the per-call
+# baseline at pipeline depths 1 and 4, and >= 2x it at saturation).
 #   scripts/serve_baseline.sh [--quick]
 # --quick (the CI smoke mode) shrinks request counts and relaxes the
 # speedup floor — tiny runs on a loaded CI core are noisy.

@@ -1,9 +1,9 @@
 #include "core/identify_server.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 
@@ -22,22 +22,31 @@ constexpr std::size_t kMacBytes = 6;
 /// a fingerprint that short carries no identification signal and would
 /// only burn a queue slot.
 constexpr std::size_t kMinIngestPackets = 4;
+/// Per-probe service time Retry-After assumes before any batch has been
+/// measured.
+constexpr double kFallbackServiceNs = 1e6;  // 1 ms
+
+std::uint64_t NowNs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Shortest-round-trip decimal form, deterministic for a given double —
 /// the serve and per-call renderers must produce identical bytes for
-/// identical verdicts.
+/// identical verdicts. The shortest %g precision that round-trips;
+/// to_chars/from_chars with an explicit precision print and parse exactly
+/// like printf/scanf, at a fraction of their cost on every served verdict.
 std::string FormatDouble(double value) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  // Prefer the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof(candidate), "%.*g", precision, value);
+  for (int precision = 1;; ++precision) {
+    const auto printed = std::to_chars(buf, buf + sizeof(buf), value,
+                                       std::chars_format::general, precision);
     double parsed = 0.0;
-    if (std::sscanf(candidate, "%lf", &parsed) == 1 && parsed == value)
-      return candidate;
+    std::from_chars(buf, printed.ptr, parsed);
+    if (parsed == value || precision == 17) return {buf, printed.ptr};
   }
-  return buf;
 }
 
 /// Validates one JSON number as an exact uint32 feature value.
@@ -55,22 +64,13 @@ bool ToFeature(const util::JsonValue& value, std::uint32_t& out) {
 IdentifyServer::IdentifyServer(const DeviceIdentifier* identifier,
                                IdentifyServerConfig config)
     : identifier_(identifier),
-      config_(std::move(config)),
-      queue_(config_.queue_depth),
-      policy_(config_.batch) {}
+      config_(config),
+      queue_(config_.queue_depth) {}
 
 IdentifyServer::~IdentifyServer() { Stop(); }
 
-std::uint64_t IdentifyServer::NowNs() const {
-  if (config_.clock) return config_.clock();
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 void IdentifyServer::Start() {
-  if (started_ || config_.manual_drain) return;
+  if (started_) return;
   started_ = true;
   drain_ = std::thread([this] { DrainLoop(); });
 }
@@ -86,7 +86,7 @@ void IdentifyServer::Stop() {
   {
     sentinel::MutexLock lock(mu_);
     // Resolve every still-queued probe as shed so no waiter blocks on a
-    // drain that will never run again.
+    // queue nobody serves any more.
     auto leftovers =
         queue_.PopBatch(std::numeric_limits<std::size_t>::max());
     for (auto& probe : leftovers) {
@@ -116,7 +116,7 @@ void IdentifyServer::set_metrics(obs::MetricsRegistry* registry) {
       "sentinel_serve_shed_total",
       "Queued probes shed in favour of a newer same-device probe");
   metrics_.batches = &registry->GetCounter(
-      "sentinel_serve_batches_total", "Batches flushed by the drain thread");
+      "sentinel_serve_batches_total", "Batches taken off the queue and served");
   metrics_.probes = &registry->GetCounter(
       "sentinel_serve_probes_total", "Probes served to a verdict");
   metrics_.parse_errors = &registry->GetCounter(
@@ -126,19 +126,17 @@ void IdentifyServer::set_metrics(obs::MetricsRegistry* registry) {
       "sentinel_serve_unknown_route_total",
       "POSTs to a path no route claims (404)");
   metrics_.batch_size = &registry->GetHistogram(
-      "sentinel_serve_batch_size", "Probes per flushed batch",
+      "sentinel_serve_batch_size", "Probes per served batch",
       {1, 2, 4, 8, 16, 32, 64});
   metrics_.queue_wait_ns = &registry->GetHistogram(
       "sentinel_serve_queue_wait_ns",
-      "Admission-to-drain queueing delay per served probe",
+      "Admission-to-service queueing delay per served probe",
       {1e4, 1e5, 5e5, 1e6, 2e6, 5e6, 1e7, 1e8});
 }
 
 std::uint64_t IdentifyServer::RetryAfterMsLocked() const {
-  const double per_probe_ns = ewma_service_ns_ > 0.0
-                                  ? ewma_service_ns_
-                                  : static_cast<double>(
-                                        config_.batch.latency_bound_ns);
+  const double per_probe_ns =
+      ewma_service_ns_ > 0.0 ? ewma_service_ns_ : kFallbackServiceNs;
   const double backlog_ms =
       static_cast<double>(queue_.depth()) * per_probe_ns / 1e6;
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(backlog_ms));
@@ -150,7 +148,6 @@ IdentifyServer::Submission IdentifyServer::SubmitProbe(
   const std::uint64_t now = NowNs();
   sentinel::MutexLock lock(mu_);
   if (stopping_) return {.admitted = false, .retry_after_ms = 0};
-  policy_.OnArrival(now);
   const std::uint64_t ticket = ++next_ticket_;
   auto admission = queue_.Push(QueuedProbe{.mac = mac,
                                            .full = std::move(full),
@@ -177,88 +174,63 @@ IdentifyServer::Submission IdentifyServer::SubmitProbe(
   if (metrics_.queue_depth)
     metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
   slots_.emplace(ticket, Slot{});
-  work_cv_.NotifyOne();
+  // A lone probe is served by its own waiter, which arrives within
+  // microseconds; waking the drain for it would cost a futex wake (10-16 us
+  // per admission on a 4-vCPU VM) and then race that waiter. The drain is
+  // woken once a second probe queues up.
+  const bool wake_drain = queue_.depth() > 1;
+  lock.Unlock();
+  if (wake_drain) work_cv_.NotifyOne();
   return {.admitted = true, .ticket = ticket};
 }
 
 IdentifyServer::ProbeOutcome IdentifyServer::WaitProbe(std::uint64_t ticket) {
   sentinel::MutexLock lock(mu_);
-  done_cv_.Wait(mu_, [this, ticket]() SENTINEL_REQUIRES(mu_) {
+  for (;;) {
+    // Re-found every round: other threads insert slots (and may rehash)
+    // while a batch is served with mu_ released.
     const auto it = slots_.find(ticket);
-    return it == slots_.end() || it->second.done;
-  });
-  const auto it = slots_.find(ticket);
-  if (it == slots_.end()) return {};  // unknown ticket: report as shed
-  ProbeOutcome outcome{
-      .status = it->second.shed ? ProbeStatus::kShed : ProbeStatus::kServed,
-      .result = std::move(it->second.result),
-      .batch_size = it->second.batch_size,
-      .queue_wait_ns = it->second.queue_wait_ns};
-  slots_.erase(it);
-  return outcome;
+    if (it == slots_.end()) return {};  // unknown ticket: report as shed
+    if (it->second.done) {
+      ProbeOutcome outcome{
+          .status = it->second.shed ? ProbeStatus::kShed : ProbeStatus::kServed,
+          .result = std::move(it->second.result),
+          .batch_size = it->second.batch_size,
+          .queue_wait_ns = it->second.queue_wait_ns};
+      slots_.erase(it);
+      return outcome;
+    }
+    // Work-conserving: a waiter whose probe is still pending serves the
+    // queue instead of idling (its own probe is queued or in service).
+    if (!stopping_ && !queue_.empty()) {
+      ServeNextBatchLocked();
+    } else {
+      done_cv_.Wait(mu_);
+    }
+  }
 }
 
 void IdentifyServer::DrainLoop() {
+  sentinel::MutexLock lock(mu_);
   for (;;) {
-    std::vector<QueuedProbe> batch;
-    AdaptiveBatchPolicy::FlushReason reason =
-        AdaptiveBatchPolicy::FlushReason::kNone;
-    {
-      sentinel::MutexLock lock(mu_);
-      while (!stopping_ && queue_.empty()) work_cv_.Wait(mu_);
-      if (stopping_) return;
-      const auto decision = policy_.Evaluate(
-          queue_.depth(), queue_.oldest_enqueue_ns().value(), NowNs());
-      if (!decision.flush) {
-        // Sleep toward the deadline (or the predicted fill time); new
-        // admissions notify work_cv_, so a size flush is re-evaluated
-        // immediately rather than after the timeout.
-        work_cv_.WaitFor(
-            mu_, std::chrono::nanoseconds(decision.wait_ns),
-            [this]() SENTINEL_REQUIRES(mu_) {
-              return stopping_ ||
-                     queue_.depth() >= policy_.config().batch_target;
-            });
-        continue;
-      }
-      batch = queue_.PopBatch(policy_.config().batch_target);
-      reason = decision.reason;
-      if (metrics_.queue_depth)
-        metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
-    }
-    ServeBatch(std::move(batch), reason);
+    while (!stopping_ && queue_.empty()) work_cv_.Wait(mu_);
+    if (stopping_) return;
+    ServeNextBatchLocked();
   }
 }
 
-std::size_t IdentifyServer::DrainNow(std::uint64_t now_ns) {
-  std::vector<QueuedProbe> batch;
-  AdaptiveBatchPolicy::FlushReason reason =
-      AdaptiveBatchPolicy::FlushReason::kNone;
-  {
-    sentinel::MutexLock lock(mu_);
-    if (queue_.empty()) return 0;
-    const auto decision = policy_.Evaluate(
-        queue_.depth(), queue_.oldest_enqueue_ns().value(), now_ns);
-    if (!decision.flush) return 0;
-    batch = queue_.PopBatch(policy_.config().batch_target);
-    reason = decision.reason;
-    if (metrics_.queue_depth)
-      metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
-  }
-  const std::size_t served = batch.size();
-  ServeBatch(std::move(batch), reason);
-  return served;
-}
-
-void IdentifyServer::ServeBatch(std::vector<QueuedProbe> batch,
-                                AdaptiveBatchPolicy::FlushReason reason) {
-  if (batch.empty()) return;
+void IdentifyServer::ServeNextBatchLocked() {
+  std::vector<QueuedProbe> batch =
+      queue_.PopBatch(std::max<std::size_t>(1, config_.batch_target));
+  if (metrics_.queue_depth)
+    metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
+  mu_.Unlock();
   const std::uint64_t serve_start = NowNs();
   std::vector<IdentificationResult> results;
-  results.reserve(batch.size());
-  if (config_.batch.batch_target <= 1) {
+  if (config_.batch_target <= 1) {
     // Per-call baseline mode: the exact code path `sentinelctl identify`
     // takes, so the benchmark's comparison is honest.
+    results.reserve(batch.size());
     for (const auto& probe : batch)
       results.push_back(identifier_->Identify(probe.full, probe.fixed));
   } else {
@@ -269,8 +241,8 @@ void IdentifyServer::ServeBatch(std::vector<QueuedProbe> batch,
     results = identifier_->IdentifyBatchServe(refs);
   }
   const std::uint64_t serve_end = NowNs();
+  mu_.Lock();
 
-  sentinel::MutexLock lock(mu_);
   const double per_probe_ns = static_cast<double>(serve_end - serve_start) /
                               static_cast<double>(batch.size());
   ewma_service_ns_ = ewma_service_ns_ == 0.0
@@ -279,15 +251,10 @@ void IdentifyServer::ServeBatch(std::vector<QueuedProbe> batch,
   ++stats_.batches;
   stats_.probes_served += batch.size();
   ++stats_.batch_size_counts[batch.size()];
-  switch (reason) {
-    case AdaptiveBatchPolicy::FlushReason::kSize: ++stats_.flush_size; break;
-    case AdaptiveBatchPolicy::FlushReason::kDeadline:
-      ++stats_.flush_deadline;
-      break;
-    case AdaptiveBatchPolicy::FlushReason::kSparse:
-      ++stats_.flush_sparse;
-      break;
-    case AdaptiveBatchPolicy::FlushReason::kNone: break;
+  if (batch.size() >= config_.batch_target) {
+    ++stats_.flush_size;
+  } else {
+    ++stats_.flush_sparse;
   }
   if (metrics_.batches) metrics_.batches->Increment();
   if (metrics_.probes) metrics_.probes->Increment(batch.size());

@@ -1,10 +1,21 @@
 // The always-on identification service behind `sentinelctl serve`'s POST
 // routes (DESIGN.md "Serving path"). Probes arrive over HTTP — a parsed
 // fingerprint on POST /identify, raw setup-phase frames on POST /ingest —
-// and are admitted into a bounded MAC-keyed queue; a single drain thread
-// flushes the queue through DeviceIdentifier::IdentifyBatchServe under the
-// adaptive micro-batching policy (core/serve_batching.h) and wakes the
-// waiting connection handlers with their verdicts.
+// and are admitted into a bounded MAC-keyed queue (core/serve_batching.h).
+//
+// Serving is work-conserving: whenever a serving thread is free and the
+// queue is non-empty, it takes everything queued, up to batch_target, and
+// serves it through DeviceIdentifier::IdentifyBatchServe. Two kinds of
+// thread serve: the background drain thread Start() launches, and any
+// caller blocked in WaitProbe (a connection handler collecting a verdict)
+// whose probe is not done yet. An admission wakes the drain thread only
+// once a second probe is queued: a lone probe is left to its own waiter,
+// which is cheaper than a cross-thread wake. Nothing waits for a batch to
+// fill, so light load is served at per-call latency; batches grow only
+// while every serving thread is busy, so saturation still amortizes the
+// bank scan.
+// Without Start() the waiters alone serve the queue — the deterministic
+// seam the tests drive.
 //
 // Overload is explicit, never silent: past the queue's capacity an older
 // probe of the same device is shed (the newest fingerprint per device
@@ -16,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -37,14 +47,11 @@ namespace sentinel::core {
 struct IdentifyServerConfig {
   /// Admission queue capacity; probes past it shed or get 429.
   std::size_t queue_depth = 256;
-  AdaptiveBatchConfig batch;
-  /// Tests: no drain thread is started; DrainNow() services the queue on
-  /// the caller's thread with an injected "now".
-  bool manual_drain = false;
-  /// Monotonic nanosecond clock; null uses std::chrono::steady_clock.
-  /// Injectable so batching/overload behaviour is testable without
-  /// sleeping.
-  std::function<std::uint64_t()> clock;
+  /// Largest batch one serving thread takes off the queue (the serve
+  /// kernel's amortization saturates quickly; see BENCH_serve.json's
+  /// batch histogram). 1 degenerates to per-call serving through
+  /// Identify().
+  std::size_t batch_target = 16;
 };
 
 /// Lifetime counters of one server, readable at any time (stats()) and —
@@ -60,9 +67,14 @@ struct ServeStats {
   std::uint64_t parse_errors = 0;
   /// POSTs to a path no route claims (404).
   std::uint64_t unknown_routes = 0;
-  /// Batches by flush reason (the policy's size / deadline / sparse).
+  /// Batches taken at the batch_target cap (the queue held at least that
+  /// many probes).
   std::uint64_t flush_size = 0;
+  /// Always 0: no deadline holds a batch back. Kept so readers of the
+  /// counter set need not change.
   std::uint64_t flush_deadline = 0;
+  /// Batches taken below the cap: a serving thread was free and took
+  /// everything queued.
   std::uint64_t flush_sparse = 0;
   /// Batch-size histogram: served batch size -> occurrences.
   std::map<std::size_t, std::uint64_t> batch_size_counts;
@@ -77,7 +89,8 @@ class IdentifyServer : public obs::PostRoutes {
   IdentifyServer(const IdentifyServer&) = delete;
   IdentifyServer& operator=(const IdentifyServer&) = delete;
 
-  /// Starts the drain thread (no-op under manual_drain).
+  /// Starts the background drain thread. Optional: without it, callers
+  /// of WaitProbe serve the queue themselves.
   void Start();
   /// Stops the drain thread and resolves every still-queued probe as
   /// shed so no waiter blocks forever. Idempotent; the destructor calls
@@ -120,7 +133,8 @@ class IdentifyServer : public obs::PostRoutes {
     std::uint64_t queue_wait_ns = 0;
   };
   /// Blocks until the ticket's probe is served or shed; consumes the
-  /// ticket.
+  /// ticket. While the probe is pending and probes are queued, the caller
+  /// serves queued batches itself instead of sleeping.
   [[nodiscard]] ProbeOutcome WaitProbe(std::uint64_t ticket);
 
   // --- obs::PostRoutes (the HTTP facade) ---
@@ -143,11 +157,6 @@ class IdentifyServer : public obs::PostRoutes {
   [[nodiscard]] ServeStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
   [[nodiscard]] const IdentifyServerConfig& config() const { return config_; }
-
-  /// Manual-drain mode: evaluates the flush policy at `now_ns` and, when
-  /// it fires, services one batch on the calling thread. Returns the
-  /// number of probes served (0: no flush due yet or queue empty).
-  std::size_t DrainNow(std::uint64_t now_ns);
 
   /// Renders the verdict-grade JSON object shared by every serving mode
   /// — `{"known":...,"type":...,"matched_types":[...],
@@ -187,19 +196,20 @@ class IdentifyServer : public obs::PostRoutes {
     std::size_t devices_skipped = 0;
   };
 
-  [[nodiscard]] std::uint64_t NowNs() const;
   /// Suggested Retry-After from current depth x observed per-probe
-  /// service time (falls back to the latency bound before any batch has
-  /// been measured).
+  /// service time (a fixed 1 ms per probe before any batch has been
+  /// measured).
   [[nodiscard]] std::uint64_t RetryAfterMsLocked() const
       SENTINEL_REQUIRES(mu_);
 
   void DrainLoop();
-  /// Services one popped batch end to end: identify (batched kernel, or
-  /// the per-call path when batch_target == 1 — the honest baseline the
-  /// benchmark compares against), fill slots, wake waiters.
-  void ServeBatch(std::vector<QueuedProbe> batch,
-                  AdaptiveBatchPolicy::FlushReason reason);
+  /// The one serving step both kinds of serving thread take: pops up to
+  /// batch_target queued probes, identifies them with mu_ released
+  /// (batched kernel, or the per-call path when batch_target == 1 — the
+  /// honest baseline the benchmark compares against), then fills their
+  /// slots and wakes the waiters. Requires a non-empty queue; returns with
+  /// mu_ held again.
+  void ServeNextBatchLocked() SENTINEL_REQUIRES(mu_);
 
   PendingHttp BuildIdentify(const std::string& content_type,
                             const std::string& body);
@@ -244,14 +254,13 @@ class IdentifyServer : public obs::PostRoutes {
   /// Waiter wake-ups: batch served or probe shed.
   sentinel::CondVar done_cv_;
   AdmissionQueue queue_ SENTINEL_GUARDED_BY(mu_);
-  AdaptiveBatchPolicy policy_ SENTINEL_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, Slot> slots_ SENTINEL_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, PendingHttp> pending_
       SENTINEL_GUARDED_BY(mu_);
   std::uint64_t next_ticket_ SENTINEL_GUARDED_BY(mu_) = 0;
   std::uint64_t next_request_ SENTINEL_GUARDED_BY(mu_) = 0;
   ServeStats stats_ SENTINEL_GUARDED_BY(mu_);
-  /// EWMA of observed per-probe service time, feeding Retry-After.
+  /// Smoothed per-probe service time, feeding Retry-After.
   double ewma_service_ns_ SENTINEL_GUARDED_BY(mu_) = 0.0;
   bool stopping_ SENTINEL_GUARDED_BY(mu_) = false;
   bool started_ = false;

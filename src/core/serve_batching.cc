@@ -4,50 +4,6 @@
 
 namespace sentinel::core {
 
-void AdaptiveBatchPolicy::OnArrival(std::uint64_t now_ns) {
-  if (last_arrival_ns_ != 0 && now_ns >= last_arrival_ns_) {
-    const auto gap = static_cast<double>(now_ns - last_arrival_ns_);
-    ewma_interarrival_ns_ =
-        ewma_interarrival_ns_ == 0.0
-            ? gap
-            : config_.ewma_alpha * gap +
-                  (1.0 - config_.ewma_alpha) * ewma_interarrival_ns_;
-  }
-  last_arrival_ns_ = now_ns;
-}
-
-AdaptiveBatchPolicy::Decision AdaptiveBatchPolicy::Evaluate(
-    std::size_t depth, std::uint64_t oldest_enqueue_ns,
-    std::uint64_t now_ns) const {
-  if (depth >= config_.batch_target)
-    return {.flush = true, .reason = FlushReason::kSize};
-  const std::uint64_t age =
-      now_ns >= oldest_enqueue_ns ? now_ns - oldest_enqueue_ns : 0;
-  if (age >= config_.latency_bound_ns)
-    return {.flush = true, .reason = FlushReason::kDeadline};
-  const std::uint64_t remaining = config_.latency_bound_ns - age;
-  // Sparse-arrival adaptation: with the observed gap, filling the
-  // remaining slots takes ewma * (target - depth); when that exceeds the
-  // oldest probe's remaining deadline the batch provably cannot fill in
-  // time, so waiting buys size 0 and costs latency — flush now. Until two
-  // arrivals have been observed the EWMA is unknown (0) and the policy
-  // falls back to deadline-only flushing.
-  const double predicted_fill_ns =
-      ewma_interarrival_ns_ *
-      static_cast<double>(config_.batch_target - depth);
-  if (ewma_interarrival_ns_ > 0.0 &&
-      predicted_fill_ns > static_cast<double>(remaining))
-    return {.flush = true, .reason = FlushReason::kSparse};
-  // Sleep until the deadline would fire, or until the predicted fill
-  // time elapses (whichever is sooner) — wake-ups in between are driven
-  // by arrival notifications, not this bound.
-  std::uint64_t wait_ns = remaining;
-  if (ewma_interarrival_ns_ > 0.0)
-    wait_ns = std::min(
-        wait_ns, static_cast<std::uint64_t>(predicted_fill_ns) + 1);
-  return {.flush = false, .reason = FlushReason::kNone, .wait_ns = wait_ns};
-}
-
 AdmissionQueue::Admission AdmissionQueue::Push(QueuedProbe&& probe) {
   if (queue_.size() < capacity_) {
     queue_.push_back(std::move(probe));
@@ -75,11 +31,6 @@ std::vector<QueuedProbe> AdmissionQueue::PopBatch(std::size_t max_probes) {
     queue_.pop_front();
   }
   return batch;
-}
-
-std::optional<std::uint64_t> AdmissionQueue::oldest_enqueue_ns() const {
-  if (queue_.empty()) return std::nullopt;
-  return queue_.front().enqueue_ns;
 }
 
 }  // namespace sentinel::core

@@ -28,8 +28,9 @@
 // config.serve_threads > 0, Serve() runs that many connection handlers
 // with HTTP/1.1 keep-alive and pipelining: each handler admits every
 // pipelined POST of a read burst into the backend before it waits on the
-// first verdict, which is what lets the identification drain thread form
-// real micro-batches. A handler owns its connection only while it is
+// first verdict, so the burst reaches the identification queue whole and
+// can be served as one batch — by the drain thread or by the waiting
+// handler itself. A handler owns its connection only while it is
 // live: idle keep-alive connections are closed after a configurable
 // quiet interval, and connections accepted while every handler is busy
 // queue only up to max_queued_connections before the server pushes back

@@ -77,6 +77,12 @@ const TimeSeriesStore::Series* TimeSeriesStore::Find(
 void TimeSeriesStore::Sample(std::int64_t now_ns) {
   const std::uint64_t s = head_.load(std::memory_order_relaxed);
   const std::size_t slot = static_cast<std::size_t>(s % config_.capacity);
+  // Sample s overwrites the slots of sample s - capacity. Announce it
+  // first: the fence orders begun_ = s + 1 before every slot store below,
+  // so a reader that copied any of them and then fences
+  // (FirstIntactSample) sees begun_ > s and drops sample s - capacity.
+  begun_.store(s + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
 
   registry_->VisitInstruments(
       [&](const std::string& name, const Counter& counter) {
@@ -126,6 +132,12 @@ void TimeSeriesStore::WindowRange(const Series& series, std::size_t window,
   *lo = std::min(low, head);
 }
 
+std::uint64_t TimeSeriesStore::FirstIntactSample() const {
+  std::atomic_thread_fence(std::memory_order_acquire);
+  const std::uint64_t begun = begun_.load(std::memory_order_relaxed);
+  return begun > config_.capacity ? begun - config_.capacity : 0;
+}
+
 std::vector<std::string> TimeSeriesStore::SeriesNames() const {
   MutexLock lock(mutex_);
   std::vector<std::string> names;
@@ -148,6 +160,13 @@ std::vector<TimeSeriesStore::Point> TimeSeriesStore::Recent(
     out.push_back({sr->times[slot].load(std::memory_order_relaxed),
                    sr->values[slot].load(std::memory_order_relaxed)});
   }
+  // Drop the oldest samples if the sampler lapped them mid-copy.
+  const std::uint64_t intact = FirstIntactSample();
+  if (intact > lo)
+    out.erase(out.begin(),
+              out.begin() + static_cast<std::ptrdiff_t>(
+                                std::min<std::uint64_t>(intact - lo,
+                                                        out.size())));
   return out;
 }
 
@@ -185,30 +204,36 @@ TimeSeriesStore::HistogramWindow TimeSeriesStore::HistogramStats(
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   WindowRange(*sr, window, &lo, &hi);
-  if (hi == lo) return out;
-  out.samples = static_cast<std::size_t>(hi - lo);
-
-  const std::size_t first_slot =
-      static_cast<std::size_t>(lo % config_.capacity);
-  const std::size_t last_slot =
-      static_cast<std::size_t>((hi - 1) % config_.capacity);
-  const std::atomic<std::uint64_t>* first_row =
-      &sr->buckets[first_slot * sr->bucket_count];
-  const std::atomic<std::uint64_t>* last_row =
-      &sr->buckets[last_slot * sr->bucket_count];
 
   // Observations inside the window: cumulative state at the window's last
   // sample minus cumulative state at its first. A one-sample window has no
-  // interior and reports zero observations.
+  // interior and reports zero observations. The first row is re-read from
+  // a later sample whenever the sampler lapped it mid-copy; the last row
+  // is then newer still, so it is intact too.
   std::vector<std::uint64_t> deltas(sr->bucket_count, 0);
-  for (std::size_t i = 0; i < sr->bucket_count; ++i) {
-    const std::uint64_t a = first_row[i].load(std::memory_order_relaxed);
-    const std::uint64_t b = last_row[i].load(std::memory_order_relaxed);
-    deltas[i] = b >= a ? b - a : 0;
+  for (;;) {
+    if (hi == lo) return {};
+    const std::size_t first_slot =
+        static_cast<std::size_t>(lo % config_.capacity);
+    const std::size_t last_slot =
+        static_cast<std::size_t>((hi - 1) % config_.capacity);
+    const std::atomic<std::uint64_t>* first_row =
+        &sr->buckets[first_slot * sr->bucket_count];
+    const std::atomic<std::uint64_t>* last_row =
+        &sr->buckets[last_slot * sr->bucket_count];
+    for (std::size_t i = 0; i < sr->bucket_count; ++i) {
+      const std::uint64_t a = first_row[i].load(std::memory_order_relaxed);
+      const std::uint64_t b = last_row[i].load(std::memory_order_relaxed);
+      deltas[i] = b >= a ? b - a : 0;
+    }
+    out.sum = sr->sums[last_slot].load(std::memory_order_relaxed) -
+              sr->sums[first_slot].load(std::memory_order_relaxed);
+    const std::uint64_t intact = FirstIntactSample();
+    if (lo >= intact) break;
+    lo = std::min(intact, hi);
   }
+  out.samples = static_cast<std::size_t>(hi - lo);
   out.count = deltas.empty() ? 0 : deltas.back();
-  out.sum = sr->sums[last_slot].load(std::memory_order_relaxed) -
-            sr->sums[first_slot].load(std::memory_order_relaxed);
   out.mean = out.count == 0 ? 0.0 : out.sum / static_cast<double>(out.count);
 
   const auto percentile = [&](double q) -> double {

@@ -8,14 +8,22 @@
 //   one slot per series: (timestamp, value) for counters/gauges, plus the
 //   full cumulative bucket vector, sum and count for histograms. A global
 //   sample index (head) advances with release ordering after all series
-//   are written, so a reader that observes head == H can read any slot in
-//   [H - capacity, H) of any series that existed by then.
+//   are written, so a reader that observes head == H sees samples
+//   [H - capacity, H) of any series that existed by then published — but
+//   sample H, already in progress, overwrites the slots of sample
+//   H - capacity, and later samples lap further.
 // - Series are discovered on the fly: an instrument registered after the
 //   store started simply records the sample index at which it first
 //   appeared and reports a shorter window until it catches up.
 // - Slots are std::atomic with relaxed loads/stores (the head fence orders
 //   publication), so the sampler and scrapers never contend on a lock for
 //   ring data; a short mutex guards only the name -> series map.
+// - Readers validate like a seqlock. The sampler announces sample s in a
+//   second index (begun = s + 1) and issues a release fence before its
+//   first slot store; a reader copies the slots, fences, reloads begun as
+//   B and drops every sample s < B - capacity, whose slot the sampler may
+//   have rewritten mid-copy. With the sampler idle, B == head and the
+//   whole ring stays readable.
 //
 // Readers derive, over the last `window` samples of a series:
 // - Window(): first/last/min/max/mean, delta and per-second rate (the
@@ -26,10 +34,8 @@
 //   bucket (+Inf observations clamp to the last finite bound);
 // - RenderJson(): all of the above for every series, for /timeseries.
 //
-// A torn read (sampler lapping a slow scraper) can mix values from two
-// consecutive samples of the same series; every such value is still a real
-// sampled value, which is the usual monitoring-plane contract. Tests that
-// need exact values simply do not race Sample() against reads.
+// So a window never mixes values of two different samples: a scraper the
+// sampler laps gets a shorter (possibly empty) window, never a torn one.
 #pragma once
 
 #include <atomic>
@@ -161,6 +167,12 @@ class TimeSeriesStore {
   void WindowRange(const Series& series, std::size_t window, std::uint64_t* lo,
                    std::uint64_t* hi) const;
 
+  /// Seqlock-style validation after a reader copied ring slots: fences,
+  /// reloads begun_ as B and returns the oldest sample whose slots the
+  /// sampler cannot have rewritten since, B - capacity (0 before the ring
+  /// first wraps). Samples older than that must be dropped.
+  [[nodiscard]] std::uint64_t FirstIntactSample() const;
+
   const MetricsRegistry* const registry_;
   const TimeSeriesConfig config_;
 
@@ -169,6 +181,11 @@ class TimeSeriesStore {
   // the relaxed ring-slot writes of sample H visible to readers that
   // observed head > H. See the file comment.
   std::atomic<std::uint64_t> head_{0};
+  // ordering: relaxed store, made visible by the release fence Sample()
+  // issues before its slot stores; relaxed load after the acquire fence in
+  // FirstIntactSample(). Samples begun so far: head_, plus one while a
+  // Sample() call is writing.
+  std::atomic<std::uint64_t> begun_{0};
 
   // guards series_ (the map, not the rings)
   mutable Mutex mutex_{"obs.timeseries"};

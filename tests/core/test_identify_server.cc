@@ -1,14 +1,17 @@
-// IdentifyServer tests: batch formation under an injected clock, the
-// differential guarantee (served verdicts bit-identical to per-call
-// Identify, down to the rendered JSON bytes), explicit overload
-// semantics (reject-with-Retry-After and shed-oldest-per-MAC), and the
-// HTTP facade's parsing of all three probe formats.
+// IdentifyServer tests: work-conserving batch formation (on a server
+// that was never Start()ed, the waiters alone serve the queue, so every
+// batch is deterministic), the differential guarantee (served verdicts
+// bit-identical to per-call Identify, down to the rendered JSON bytes),
+// explicit overload semantics (reject-with-Retry-After and
+// shed-oldest-per-MAC), the drain thread and waiters serving side by side,
+// and the HTTP facade's parsing of all three probe formats.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/identify_server.h"
@@ -19,8 +22,6 @@
 
 namespace sentinel::core {
 namespace {
-
-constexpr std::uint64_t kMs = 1'000'000;
 
 /// One identifier trained on a 6-type bank, shared across tests (training
 /// dominates test runtime; the server never mutates it).
@@ -51,141 +52,137 @@ net::MacAddress Mac(std::uint8_t last) {
   return net::MacAddress(std::array<std::uint8_t, 6>{0x02, 0, 0, 0, 0, last});
 }
 
-/// Manual-drain server with a test-owned clock.
-struct ManualServer {
-  std::uint64_t now_ns = 0;
-  IdentifyServer server;
-
-  explicit ManualServer(IdentifyServerConfig config = {})
-      : server(&SharedIdentifier(), [&config, this] {
-          config.manual_drain = true;
-          config.clock = [this] { return now_ns; };
-          return std::move(config);
-        }()) {}
-};
+/// The per-call Identify() verdict rendering of probe `i`.
+std::string PerCallVerdict(std::size_t i) {
+  const auto& probes = Probes();
+  return IdentifyServer::RenderVerdictJson(
+      SharedIdentifier().Identify(probes.fingerprints[i], probes.fixed[i]));
+}
 
 TEST(IdentifyServer, SizeTargetFormsOneBatchAndVerdictsMatchPerCall) {
-  ManualServer m({.queue_depth = 64, .batch = {.batch_target = 8}});
+  // Not started: the first waiter takes everything queued, up to the cap
+  // of 8, and the next waiter whose probe is still queued takes the rest.
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 64, .batch_target = 8});
   const auto& probes = Probes();
   std::vector<std::uint64_t> tickets;
-  for (std::size_t i = 0; i < 8; ++i) {
-    m.now_ns += 10'000;
-    const auto submission = m.server.SubmitProbe(
+  for (std::size_t i = 0; i < 10; ++i) {
+    const auto submission = server.SubmitProbe(
         Mac(static_cast<std::uint8_t>(i)), probes.fingerprints[i],
         probes.fixed[i]);
     ASSERT_TRUE(submission.admitted);
     tickets.push_back(submission.ticket);
   }
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 8u);  // size flush, full batch
-  for (std::size_t i = 0; i < 8; ++i) {
-    const auto outcome = m.server.WaitProbe(tickets[i]);
+  for (std::size_t i = 0; i < 10; ++i) {
+    const auto outcome = server.WaitProbe(tickets[i]);
     ASSERT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
-    EXPECT_EQ(outcome.batch_size, 8u);
-    const auto per_call =
-        SharedIdentifier().Identify(probes.fingerprints[i], probes.fixed[i]);
-    EXPECT_EQ(outcome.result.type, per_call.type);
-    EXPECT_EQ(outcome.result.matched_types, per_call.matched_types);
-    EXPECT_EQ(outcome.result.tie_break_count, per_call.tie_break_count);
+    EXPECT_EQ(outcome.batch_size, i < 8 ? 8u : 2u);
     // The rendered verdict JSON — what a client actually receives — must
     // be byte-identical to the per-call path's rendering.
     EXPECT_EQ(IdentifyServer::RenderVerdictJson(outcome.result),
-              IdentifyServer::RenderVerdictJson(per_call));
+              PerCallVerdict(i));
   }
-  const auto stats = m.server.stats();
-  EXPECT_EQ(stats.batches, 1u);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.batches, 2u);
   EXPECT_EQ(stats.flush_size, 1u);
-  EXPECT_EQ(stats.probes_served, 8u);
+  EXPECT_EQ(stats.flush_sparse, 1u);
+  EXPECT_EQ(stats.flush_deadline, 0u);
+  EXPECT_EQ(stats.probes_served, 10u);
   EXPECT_EQ(stats.batch_size_counts.at(8), 1u);
+  EXPECT_EQ(stats.batch_size_counts.at(2), 1u);
 }
 
-TEST(IdentifyServer, DeadlineFlushServesAPartialBatch) {
-  ManualServer m({.queue_depth = 64,
-                  .batch = {.batch_target = 16, .latency_bound_ns = 2 * kMs}});
+TEST(IdentifyServer, PartialBatchIsServedWithoutWaiting) {
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 64, .batch_target = 16});
   const auto& probes = Probes();
-  m.now_ns = 1000;
   const auto submission =
-      m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
+      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
   ASSERT_TRUE(submission.admitted);
-  // Inside the latency bound: the drain holds out for more probes.
-  EXPECT_EQ(m.server.DrainNow(m.now_ns + kMs), 0u);
-  // Past the bound: the lone probe is served rather than waiting forever.
-  m.now_ns += 2 * kMs;
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 1u);
-  const auto outcome = m.server.WaitProbe(submission.ticket);
+  // One probe of a target of 16: served at once, nothing holds out for
+  // more probes.
+  const auto outcome = server.WaitProbe(submission.ticket);
   EXPECT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
   EXPECT_EQ(outcome.batch_size, 1u);
-  EXPECT_GE(outcome.queue_wait_ns, 2 * kMs);
-  EXPECT_EQ(m.server.stats().flush_deadline, 1u);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.flush_sparse, 1u);
+  EXPECT_EQ(stats.flush_deadline, 0u);
 }
 
 TEST(IdentifyServer, OverloadRejectsWithRetryAfter) {
-  ManualServer m({.queue_depth = 2, .batch = {.batch_target = 16}});
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 2, .batch_target = 16});
   const auto& probes = Probes();
   ASSERT_TRUE(
-      m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0])
+      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0])
           .admitted);
   ASSERT_TRUE(
-      m.server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
+      server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
           .admitted);
   // Queue full, no same-MAC victim: explicit rejection with back-off.
   const auto rejected =
-      m.server.SubmitProbe(Mac(3), probes.fingerprints[2], probes.fixed[2]);
+      server.SubmitProbe(Mac(3), probes.fingerprints[2], probes.fixed[2]);
   EXPECT_FALSE(rejected.admitted);
   EXPECT_GE(rejected.retry_after_ms, 1u);
-  const auto stats = m.server.stats();
+  const auto stats = server.stats();
   EXPECT_EQ(stats.admitted, 2u);
   EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(m.server.queue_depth(), 2u);
+  EXPECT_EQ(server.queue_depth(), 2u);
 }
 
 TEST(IdentifyServer, OverloadShedsOldestProbeOfSameDevice) {
-  ManualServer m({.queue_depth = 2, .batch = {.batch_target = 2}});
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 2, .batch_target = 2});
   const auto& probes = Probes();
   const auto first =
-      m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
+      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
   ASSERT_TRUE(
-      m.server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
+      server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
           .admitted);
   // Same device again on a full queue: the stale probe is shed, the
   // fresh one admitted.
   const auto fresh =
-      m.server.SubmitProbe(Mac(1), probes.fingerprints[2], probes.fixed[2]);
+      server.SubmitProbe(Mac(1), probes.fingerprints[2], probes.fixed[2]);
   ASSERT_TRUE(fresh.admitted);
-  const auto shed_outcome = m.server.WaitProbe(first.ticket);
+  const auto shed_outcome = server.WaitProbe(first.ticket);
   EXPECT_EQ(shed_outcome.status, IdentifyServer::ProbeStatus::kShed);
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 2u);
-  EXPECT_EQ(m.server.WaitProbe(fresh.ticket).status,
-            IdentifyServer::ProbeStatus::kServed);
-  EXPECT_EQ(m.server.stats().shed, 1u);
+  // The superseded waiter returns without serving; the fresh probe's
+  // waiter serves both survivors as one batch.
+  const auto fresh_outcome = server.WaitProbe(fresh.ticket);
+  EXPECT_EQ(fresh_outcome.status, IdentifyServer::ProbeStatus::kServed);
+  EXPECT_EQ(fresh_outcome.batch_size, 2u);
+  EXPECT_EQ(server.stats().shed, 1u);
 }
 
 TEST(IdentifyServer, StopResolvesQueuedProbesAsShed) {
-  ManualServer m({.queue_depth = 8, .batch = {.batch_target = 8}});
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 8, .batch_target = 8});
   const auto& probes = Probes();
   const auto submission =
-      m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
+      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
   ASSERT_TRUE(submission.admitted);
-  m.server.Stop();
-  EXPECT_EQ(m.server.WaitProbe(submission.ticket).status,
+  server.Stop();
+  EXPECT_EQ(server.WaitProbe(submission.ticket).status,
             IdentifyServer::ProbeStatus::kShed);
   // A post-stop submission is turned away, not silently queued.
   EXPECT_FALSE(
-      m.server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
+      server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
           .admitted);
 }
 
 TEST(IdentifyServer, MirrorsCountersIntoMetricsRegistry) {
   obs::MetricsRegistry registry;
-  ManualServer m({.queue_depth = 8, .batch = {.batch_target = 2}});
-  m.server.set_metrics(&registry);
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 8, .batch_target = 2});
+  server.set_metrics(&registry);
   const auto& probes = Probes();
+  const auto first =
+      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
+  ASSERT_TRUE(first.admitted);
   ASSERT_TRUE(
-      m.server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0])
+      server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
           .admitted);
-  ASSERT_TRUE(
-      m.server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
-          .admitted);
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 2u);
+  EXPECT_EQ(server.WaitProbe(first.ticket).batch_size, 2u);
   const std::string exposition = registry.RenderPrometheus();
   EXPECT_NE(exposition.find("sentinel_serve_admitted_total 2"),
             std::string::npos);
@@ -196,7 +193,42 @@ TEST(IdentifyServer, MirrorsCountersIntoMetricsRegistry) {
   EXPECT_NE(exposition.find("sentinel_serve_batch_size"), std::string::npos);
 }
 
-// --- HTTP facade (real drain thread; per-request formats) ---
+TEST(IdentifyServer, DrainAndWaitersServeConcurrentSubmitters) {
+  // Started: the drain thread and every blocked waiter serve side by
+  // side. Each verdict must still equal its per-call rendering.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 200;
+  const auto& probes = Probes();
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    expected.push_back(PerCallVerdict(i));
+  IdentifyServer server(&SharedIdentifier(), {});
+  server.Start();
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t n = 0; n < kPerThread; ++n) {
+        const std::size_t i = (t * kPerThread + n) % probes.size();
+        const auto submission = server.SubmitProbe(
+            Mac(static_cast<std::uint8_t>(t)), probes.fingerprints[i],
+            probes.fixed[i]);
+        const auto outcome = server.WaitProbe(submission.ticket);
+        if (!submission.admitted ||
+            outcome.status != IdentifyServer::ProbeStatus::kServed ||
+            IdentifyServer::RenderVerdictJson(outcome.result) != expected[i])
+          ++mismatches[t];
+      }
+    });
+  }
+  for (auto& submitter : submitters) submitter.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[t], 0u) << "submitter " << t;
+  EXPECT_EQ(server.stats().probes_served, kThreads * kPerThread);
+  server.Stop();
+}
+
+// --- HTTP facade (per-request formats) ---
 
 std::string ProbeJson(const features::Fingerprint& fingerprint,
                       const std::string& mac) {
@@ -223,10 +255,8 @@ std::string ProbeBinary(const features::Fingerprint& fingerprint,
 }
 
 TEST(IdentifyServerHttp, JsonAndBinaryProbesServeTheSameVerdictBytes) {
-  IdentifyServer server(
-      &SharedIdentifier(),
-      {.queue_depth = 64, .batch = {.batch_target = 4,
-                                    .latency_bound_ns = 1 * kMs}});
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 64, .batch_target = 4});
   server.Start();
   const auto& probes = Probes();
   const auto& fingerprint = probes.fingerprints[0];
@@ -251,10 +281,8 @@ TEST(IdentifyServerHttp, JsonAndBinaryProbesServeTheSameVerdictBytes) {
 }
 
 TEST(IdentifyServerHttp, IngestSplitsAPcapPerDevice) {
-  IdentifyServer server(
-      &SharedIdentifier(),
-      {.queue_depth = 64, .batch = {.batch_target = 4,
-                                    .latency_bound_ns = 1 * kMs}});
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 64, .batch_target = 4});
   server.Start();
   devices::DeviceSimulator simulator(7);
   const auto episode = simulator.RunSetupEpisode(0);
@@ -311,24 +339,23 @@ TEST(IdentifyServerHttp, MalformedBodiesAre400WithoutExceptions) {
 }
 
 TEST(IdentifyServerHttp, FullQueueYields429WithRetryAfter) {
-  // Manual drain: nothing is served, so the second distinct-MAC probe
-  // deterministically finds the queue full.
-  ManualServer m({.queue_depth = 1, .batch = {.batch_target = 8}});
+  // Not started: nothing is served before the first Collect, so the
+  // second distinct-MAC probe deterministically finds the queue full.
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 1, .batch_target = 8});
   const auto& probes = Probes();
   const auto first_id =
-      m.server.Submit("/identify", "application/json",
+      server.Submit("/identify", "application/json",
                       ProbeJson(probes.fingerprints[0], "02:00:00:00:00:01"));
   const auto second_id =
-      m.server.Submit("/identify", "application/json",
+      server.Submit("/identify", "application/json",
                       ProbeJson(probes.fingerprints[1], "02:00:00:00:00:02"));
-  const auto rejected = m.server.Collect(second_id);
+  const auto rejected = server.Collect(second_id);
   EXPECT_EQ(rejected.status, 429);
   EXPECT_GE(rejected.retry_after_ms, 1u);
   EXPECT_NE(rejected.body.find("overloaded"), std::string::npos);
-  // Serve the first probe so its Collect returns.
-  m.now_ns += 10 * kMs;
-  EXPECT_EQ(m.server.DrainNow(m.now_ns), 1u);
-  EXPECT_EQ(m.server.Collect(first_id).status, 200);
+  // Collecting the first probe serves it on the collecting thread.
+  EXPECT_EQ(server.Collect(first_id).status, 200);
 }
 
 }  // namespace

@@ -204,9 +204,10 @@ TEST(TimeSeriesTest, LabelledSeriesAreIndependent) {
 
 // The concurrency contract under the thread sanitizer: exactly one sampler
 // thread racing several scrapers (Window / HistogramStats / RenderJson /
-// Recent) while instruments keep moving underneath. Values are not
-// asserted — torn windows are allowed — only data-race freedom and sane
-// shapes.
+// Recent) while instruments keep moving underneath. Beyond data-race
+// freedom, no window may be torn: readers drop every sample the sampler
+// lapped mid-copy, so a monotone counter's window never starts above its
+// end.
 TEST(TimeSeriesTest, SamplerVersusScrapersHammer) {
   MetricsRegistry registry;
   auto& counter = registry.GetCounter("hammer_total", "hammer");
@@ -228,6 +229,9 @@ TEST(TimeSeriesTest, SamplerVersusScrapersHammer) {
   std::vector<std::thread> scrapers;
   for (int t = 0; t < 3; ++t) {
     scrapers.emplace_back([&] {
+      // Race the sampler, not an empty store: without this a scraper can
+      // finish before the sampler thread has taken its first sample.
+      while (store.samples_taken() == 0) std::this_thread::yield();
       for (int i = 0; i < 400; ++i) {
         const auto stats = store.Window("hammer_total", 8);
         if (stats.samples > 0) {

@@ -26,19 +26,20 @@
 //   sentinelctl serve [--listen PORT] [--episodes N] [--seed S]
 //                     [--rules FILE] [--sample-interval SEC]
 //                     [--queue-depth N] [--batch-target N]
-//                     [--latency-bound-ms MS] [--max-body-bytes N]
-//                     [--serve-threads N]
+//                     [--max-body-bytes N] [--serve-threads N]
 //       Exercise the gateway pipeline like `stats`, then serve live
 //       telemetry over HTTP: /healthz, /metrics (Prometheus text),
 //       /metrics.json, /timeseries (windowed series), /quality (drift
 //       monitor), /alerts (rule engine), /devices and /devices/<mac>
 //       (flight-recorder JSON). A sampler thread snapshots the registry
 //       and evaluates the alert rules every --sample-interval seconds.
-//       With this PR `serve` is also the always-on identification
-//       service: POST /identify (JSON or binary probe) and POST /ingest
-//       (raw pcap) enqueue into a MAC-keyed admission queue a drain
-//       thread serves in adaptive micro-batches through the batch fast
-//       path, with explicit 429 + Retry-After overload push-back.
+//       `serve` is also the always-on identification service: POST
+//       /identify (JSON or binary probe) and POST /ingest (raw pcap)
+//       enqueue into a MAC-keyed admission queue that any free serving
+//       thread (the drain thread, or a connection handler waiting on its
+//       verdict) empties in batches of up to --batch-target through the
+//       batch fast path, with explicit 429 + Retry-After overload
+//       push-back.
 //   sentinelctl alerts [--seed S] [--json]
 //       Run the firmware-drift scenario: one trained type's traffic
 //       shape gradually shifts while a control type stays clean; print
@@ -118,7 +119,6 @@ struct Options {
   // `serve` identification-service knobs (see core/identify_server.h).
   std::size_t queue_depth = 256;
   std::size_t batch_target = 16;
-  std::uint64_t latency_bound_ms = 2;
   std::size_t max_body_bytes = 1 << 20;
   std::size_t serve_threads = 4;
 };
@@ -187,10 +187,6 @@ Options ParseOptions(int argc, char** argv, int first) {
       options.batch_target = std::stoul(next_value());
       if (options.batch_target == 0)
         throw std::runtime_error("--batch-target: must be >= 1");
-    } else if (arg == "--latency-bound-ms") {
-      options.latency_bound_ms = std::stoull(next_value());
-      if (options.latency_bound_ms == 0)
-        throw std::runtime_error("--latency-bound-ms: must be >= 1");
     } else if (arg == "--max-body-bytes") {
       options.max_body_bytes = std::stoul(next_value());
     } else if (arg == "--serve-threads") {
@@ -749,13 +745,12 @@ int CmdServe(const Options& options) {
       RegisterGatewayMemory(memory, gateway, service);
 
   // The identification service proper: POST /identify and /ingest feed a
-  // MAC-keyed admission queue a drain thread serves through the batch
-  // fast path (see core/identify_server.h for the overload semantics).
+  // MAC-keyed admission queue that the drain thread and waiting connection
+  // handlers serve through the batch fast path (see
+  // core/identify_server.h for the serving rule and overload semantics).
   core::IdentifyServer identify_server(
-      &service.identifier(),
-      {.queue_depth = options.queue_depth,
-       .batch = {.batch_target = options.batch_target,
-                 .latency_bound_ns = options.latency_bound_ms * 1'000'000}});
+      &service.identifier(), {.queue_depth = options.queue_depth,
+                              .batch_target = options.batch_target});
   identify_server.set_metrics(&registry);
   identify_server.Start();
 
@@ -801,12 +796,10 @@ int CmdServe(const Options& options) {
               "  /healthz  /metrics  /metrics.json  /timeseries  /quality\n"
               "  /alerts  /profile  /profile.collapsed  /locks  /memory\n"
               "  /devices  /devices/<mac>\n"
-              "identification service (batch target %zu, latency bound "
-              "%llu ms, queue %zu):\n"
+              "identification service (batch target %zu, queue %zu):\n"
               "  POST /identify  (application/json | application/octet-stream)"
               "\n  POST /ingest    (pcap bytes)\n",
               static_cast<unsigned>(server.port()), options.batch_target,
-              static_cast<unsigned long long>(options.latency_bound_ms),
               options.queue_depth);
   std::fflush(stdout);
   server.Serve();  // blocks until the process is interrupted
@@ -973,8 +966,7 @@ int Usage() {
       "      dump the collected metrics registry.\n"
       "  serve [--listen PORT] [--episodes N] [--seed S] [--rules FILE]\n"
       "        [--sample-interval SEC] [--queue-depth N] [--batch-target N]\n"
-      "        [--latency-bound-ms MS] [--max-body-bytes N]\n"
-      "        [--serve-threads N]\n"
+      "        [--max-body-bytes N] [--serve-threads N]\n"
       "      Run the stats pipeline, then serve /healthz, /metrics,\n"
       "      /metrics.json, /timeseries, /quality, /alerts, /devices and\n"
       "      /devices/<mac> over HTTP on 127.0.0.1 (an ephemeral port is\n"
@@ -984,11 +976,12 @@ int Usage() {
       "      POST /identify takes one probe (JSON {\"mac\",\"packets\"} or\n"
       "      binary MAC+fingerprint) and POST /ingest takes raw pcap\n"
       "      bytes; both feed an admission queue (--queue-depth, 429 +\n"
-      "      Retry-After when full) that a drain thread serves in\n"
-      "      adaptive micro-batches (--batch-target probes or\n"
-      "      --latency-bound-ms, whichever comes first) through the\n"
-      "      batch fast path. --serve-threads connection handlers give\n"
-      "      keep-alive + pipelining; 0 falls back to one-at-a-time.\n"
+      "      Retry-After when full). Any free serving thread -- the drain\n"
+      "      thread or a connection handler waiting on its verdict --\n"
+      "      takes everything queued, up to --batch-target probes, through\n"
+      "      the batch fast path; nothing waits for a batch to fill.\n"
+      "      --serve-threads connection handlers give keep-alive +\n"
+      "      pipelining; 0 falls back to one-at-a-time.\n"
       "  alerts [--seed S] [--json]\n"
       "      Run the firmware-drift scenario: one type's traffic shape\n"
       "      ramps away from its baseline while a control type stays\n"
