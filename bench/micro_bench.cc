@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot paths behind Table IV and
 // the enforcement datapath: feature extraction, fingerprint construction,
 // edit distance by length, forest prediction, flow-table lookup at cache
-// sizes up to 20000 rules, and enforcement-policy evaluation.
+// sizes up to 20000 rules (exact-only and gateway-shaped), and
+// enforcement-policy evaluation.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -168,6 +169,66 @@ void BM_FlowTableLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlowTableLookup)->RangeMultiplier(10)->Range(10, 20000);
+
+// The table a gateway builds: N devices, each holding one learning-switch
+// rule (eth_src + eth_dst, priority 10) and one WAN-allow rule (eth_src +
+// public ip_dst, priority 50). The second argument picks the probe from
+// the middle device: 0 = to its allowed cloud endpoint (allow rule wins),
+// 1 = to its learned peer (learning rule wins), 2 = broadcast (miss).
+void BM_FlowTableGatewayLookup(benchmark::State& state) {
+  const auto devices = static_cast<std::uint64_t>(state.range(0));
+  const auto gateway_mac = net::MacAddress::FromUint64(0x0200'5e00'0001);
+  const net::Ipv4Address cloud(52, 1, 2, 3);
+  sdn::FlowTable table;
+  for (std::uint64_t i = 0; i < devices; ++i) {
+    sdn::FlowRule learn;
+    learn.priority = 10;
+    learn.match.eth_src = net::MacAddress::FromUint64(i);
+    learn.match.eth_dst = net::MacAddress::FromUint64(1'000'000 + i);
+    learn.actions = {sdn::ActionOutput{2}};
+    table.Add(std::move(learn));
+    sdn::FlowRule allow;
+    allow.priority = 50;
+    allow.match.eth_src = net::MacAddress::FromUint64(i);
+    allow.match.ip_dst = cloud;
+    allow.actions = {sdn::ActionOutput{1}};
+    table.Add(std::move(allow));
+  }
+  const auto device = net::MacAddress::FromUint64(devices / 2);
+  const auto peer = net::MacAddress::FromUint64(1'000'000 + devices / 2);
+  const net::Ipv4Address device_ip(192, 168, 1, 5);
+  net::UdpDatagram udp;
+  udp.src_port = 50000;
+  udp.dst_port = 7000;
+  net::Frame frame;
+  switch (state.range(1)) {
+    case 0:
+      frame = net::BuildUdp4Frame(1, device, gateway_mac, device_ip, cloud,
+                                  udp);
+      break;
+    case 1:
+      frame = net::BuildUdp4Frame(1, device, peer, device_ip,
+                                  net::Ipv4Address(192, 168, 1, 6), udp);
+      break;
+    default:
+      frame = net::BuildUdp4Frame(1, device, net::MacAddress::Broadcast(),
+                                  device_ip, net::Ipv4Address::Broadcast(),
+                                  udp);
+      break;
+  }
+  const auto packet = net::ParseFrame(frame);
+  const bool expect_hit = state.range(1) != 2;
+  if ((table.Lookup(packet, 1) != nullptr) != expect_hit) {
+    state.SkipWithError("probe did not resolve as intended");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Lookup(packet, 1));
+  }
+}
+BENCHMARK(BM_FlowTableGatewayLookup)
+    ->ArgsProduct({{10, 100, 1000, 10000, 20000}, {0, 1, 2}})
+    ->ArgNames({"devices", "probe"});
 
 void BM_EnforcementAuthorize(benchmark::State& state) {
   const auto rules = static_cast<std::size_t>(state.range(0));

@@ -119,7 +119,16 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
     return Verdict::kHandled;
   }
 
-  // 4. Local traffic: let the learning switch forward it.
+  // 4. Permitted frames to the gateway or an upstream router (DNS, NTP,
+  // gateway services) go out on the WAN port without a flow rule: a learned
+  // device->gateway-MAC rule would also carry the device's later
+  // Internet-bound frames past the policy check above.
+  if (config_.wan_port != 0 && infrastructure_.contains(packet.dst_mac)) {
+    sw.PacketOut(config_.wan_port, in_port, frame);
+    return Verdict::kHandled;
+  }
+
+  // 5. Local traffic: let the learning switch forward it.
   return Verdict::kContinue;
 }
 

@@ -60,7 +60,8 @@ class SentinelModule : public sdn::ControllerModule {
                      const net::ParsedPacket& packet) override;
 
   /// MACs whose traffic is never fingerprinted or policed (the gateway
-  /// itself, upstream routers).
+  /// itself, upstream routers). Permitted device frames addressed to them
+  /// leave on the WAN port without a flow rule.
   void AddInfrastructureMac(const net::MacAddress& mac) {
     infrastructure_.insert(mac);
   }

@@ -56,10 +56,6 @@ bool FlowMatch::IsWildcard() const {
          !ip_proto && !tp_src && !tp_dst;
 }
 
-bool FlowMatch::IsExactOnMacs() const {
-  return eth_src.has_value() && eth_dst.has_value();
-}
-
 std::string FlowMatch::ToString() const {
   std::ostringstream out;
   bool any = false;

@@ -38,9 +38,6 @@ struct FlowMatch {
 
   /// True when no field is set (matches everything).
   [[nodiscard]] bool IsWildcard() const;
-  /// True when src/dst MACs and ethertype are all exact — such rules are
-  /// eligible for the exact-match hash cache.
-  [[nodiscard]] bool IsExactOnMacs() const;
 
   [[nodiscard]] std::string ToString() const;
 

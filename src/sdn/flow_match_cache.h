@@ -10,7 +10,8 @@
 // one robin-hood linear probe sequence over contiguous memory.
 //
 // Slot layout (32 bytes, two per cache line): the MAC-pair key (48-bit MACs
-// as u64), the highest-priority rule for the pair (the common case — one
+// as u64; FlowTable keys rules without eth_dst under a dst above every MAC),
+// the highest-priority rule for the pair (the common case — one
 // rule per pair — resolves without any indirection), an overflow bucket
 // index for pairs holding >1 rule (priority-sorted, descending; kNone
 // otherwise), and the robin-hood probe distance + 1 (0 marks an empty

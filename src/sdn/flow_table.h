@@ -1,21 +1,30 @@
-// Sharded priority flow table with an open-addressing exact-match cache.
+// Sharded priority flow table with an open-addressing match cache.
 //
 // The paper stores enforcement rules "in a hash table structure to minimize
-// the lookup time as the enforcement rule cache grows" (Sect. V). The table
-// mirrors an OVS-style two-tier datapath — an exact-match cache over
-// (src MAC, dst MAC) pairs resolves the common rules in O(1), a
-// priority-ordered linear tier handles wildcard rules — and pushes it to
-// fleet scale (ROADMAP: 1M+ tracked MACs under churn):
+// the lookup time as the enforcement rule cache grows" (Sect. V). Like the
+// Open vSwitch classifier (one hashed lookup per match shape instead of a
+// linear scan; Pfaff et al., NSDI 2015), the table hashes the one shape
+// every gateway rule shares — a source MAC — and pushes it to fleet scale
+// (ROADMAP: 1M+ tracked MACs under churn):
 //
-//   * Exact-match state is sharded N ways by the source MAC (top bits of
-//     the mixed 48-bit value, util/shard.h). Each shard owns its rules, its
-//     FlowMatchCache (flat SoA robin-hood index, flow_match_cache.h) and a
-//     shared_mutex, so the per-packet match path takes one reader lock on
-//     one shard. Shard count 1 reproduces the seed behavior bit-for-bit.
-//   * Wildcard rules (few, policy-level) live in a single priority-sorted
-//     tier behind their own reader/writer lock.
-//   * An optional bounded-memory tier caps exact rules per shard: adds past
-//     the cap evict the least-recently-hit MAC pair, chosen by a
+//   * Every rule that matches on eth_src lives in its source MAC's shard
+//     (top bits of the mixed 48-bit value, util/shard.h). Each shard owns
+//     its rules, its FlowMatchCache (flat robin-hood index,
+//     flow_match_cache.h) and a shared_mutex, so the per-packet match path
+//     takes one reader lock on one shard. Exact rules (eth_src + eth_dst)
+//     are keyed by their (src, dst) pair; rules without eth_dst, such as
+//     the gateway's WAN-allow rules (eth_src + ip_dst), by (src, any), a
+//     reserved key no 48-bit MAC can equal. Shard count 1 reproduces the
+//     seed behavior bit-for-bit.
+//   * Rules without eth_src (policy-level; the gateway datapath installs
+//     none) live in one priority-sorted list behind their own
+//     reader/writer lock, skipped, lock and all, while it is empty.
+//   * A lookup probes (src, dst), then (src, any) while the shard holds
+//     such a rule, then that list. The highest priority wins; on equal
+//     priority an exact rule beats every other, and among the others the
+//     first installed (lowest id) wins.
+//   * An optional bounded-memory tier caps the rules per shard: adds past
+//     the cap evict the least-recently-hit cache key, chosen by a
 //     deterministic clock-sampled sweep over the cache's contiguous slot
 //     array (Redis-style approximate LRU, no hot-path bookkeeping beyond
 //     the last-hit stamp the datapath already writes).
@@ -43,12 +52,17 @@
 namespace sentinel::sdn {
 
 struct FlowTableOptions {
-  /// Number of exact-match shards; rounded up to a power of two. 1 (the
-  /// default) keeps the seed's single-shard behavior.
+  /// Number of shards; rounded up to a power of two. 1 (the default)
+  /// keeps the seed's single-shard behavior.
   std::size_t shard_count = 1;
-  /// Bounded-memory tier: maximum exact-match rules held per shard; adds
-  /// beyond the cap evict the least-recently-hit MAC pair first. 0 (the
-  /// default) disables eviction.
+  /// Bounded-memory tier: maximum rules held per shard, counting every
+  /// rule that matches on eth_src — exact (src, dst) rules and (src, any)
+  /// rules such as the gateway's WAN-allow rules alike. Adds beyond the cap
+  /// evict the least-recently-hit cache key (all its rules) first.
+  /// Eviction is fail-closed: the next frame an evicted rule would have
+  /// forwarded misses and goes back to the controller for authorization.
+  /// Rules without eth_src are never evicted. 0 (the default) disables
+  /// eviction.
   std::size_t max_exact_rules_per_shard = 0;
 };
 
@@ -74,9 +88,9 @@ class FlowTable {
   std::size_t RemoveByMac(const net::MacAddress& mac);
   void Clear();
 
-  /// Highest-priority rule matching the packet, or nullptr. Exact-MAC
-  /// rules are served from the per-shard match cache first. Single-writer
-  /// API: the returned pointer is valid only until the next mutating call.
+  /// Winning rule for the packet (see the header comment for the tie
+  /// rule), or nullptr. Single-writer API: the returned pointer is valid
+  /// only until the next mutating call.
   [[nodiscard]] const FlowRule* Lookup(const net::ParsedPacket& packet,
                                        PortId in_port) const;
 
@@ -117,12 +131,14 @@ class FlowTable {
   [[nodiscard]] std::size_t MemoryBytes() const;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Exact rules evicted by the bounded-memory tier so far.
+  /// Rules evicted by the bounded-memory tier so far.
   [[nodiscard]] std::uint64_t evicted_total() const {
     return evicted_.load(std::memory_order_relaxed);
   }
 
   // Lookup statistics (cache effectiveness, Table IV-adjacent reporting).
+  // Each lookup counts once, under the tier that won it: an exact
+  // (src, dst) rule (hash_hits), any other rule (linear_hits), or none.
   struct Stats {
     std::uint64_t lookups = 0;
     std::uint64_t hash_hits = 0;
@@ -160,44 +176,45 @@ class FlowTable {
     std::atomic<std::uint64_t> misses{0};
   };
 
-  /// One exact-match shard: rule storage slab (stable addresses, O(1)
-  /// swap-remove via FlowRule::table_index), the flat probe cache, and the
-  /// eviction sweep cursor.
+  /// One shard: rule storage slab (stable addresses, O(1) swap-remove via
+  /// FlowRule::table_index), the flat probe cache, and the eviction sweep
+  /// cursor.
   struct Shard {
     mutable SharedMutex mutex{"flow_table.shard"};
     std::vector<std::unique_ptr<FlowRule>> rules SENTINEL_GUARDED_BY(mutex);
     FlowMatchCache cache SENTINEL_GUARDED_BY(mutex);
+    /// Rules keyed (src, any): lookups skip that probe while it is zero,
+    /// so shards holding only exact rules pay nothing for it.
+    std::size_t any_dst_rules SENTINEL_GUARDED_BY(mutex) = 0;
     std::uint64_t sweep_state SENTINEL_GUARDED_BY(mutex) = 0;
     mutable ShardStats stats;  // lock-free, see ShardStats
   };
 
   [[nodiscard]] Shard& ShardFor(std::uint64_t src_mac) const;
   /// Removes `rule` from `shard` (cache + slab). Exclusive lock held.
-  void EraseExact(Shard& shard, FlowRule* rule)
-      SENTINEL_REQUIRES(shard.mutex);
-  /// Evicts the least-recently-hit sampled MAC pair. Exclusive lock held.
+  void Erase(Shard& shard, FlowRule* rule) SENTINEL_REQUIRES(shard.mutex);
+  /// Evicts the least-recently-hit sampled cache key. Exclusive lock held.
   /// Returns rules evicted.
-  std::size_t EvictOnePair(Shard& shard) SENTINEL_REQUIRES(shard.mutex);
-  /// Wildcard scan half of Match(): returns the winner (may still be
-  /// `best`), bumping the linear-hit stats on a wildcard win.
-  const FlowRule* FindWildcard(const net::ParsedPacket& packet, PortId in_port,
-                               const FlowRule* best, const Shard& shard) const
-      SENTINEL_REQUIRES_SHARED(wildcard_mutex_);
-  /// Copy-out half of Match(): bumps the winner's hit counters and fills
-  /// `result`. The caller still holds the lock covering `best`.
-  static void FillMatchResult(const FlowRule& best, std::uint64_t now_ns,
-                              std::size_t frame_bytes, MatchResult& result);
+  std::size_t EvictOneKey(Shard& shard) SENTINEL_REQUIRES(shard.mutex);
+  /// Removes every rule `doomed` selects; returns the number removed.
+  template <typename Pred>
+  std::size_t RemoveIf(Pred doomed);
+  /// The winner search Lookup() and Match() share. Calls
+  /// `on_winner(rule or nullptr)` while the locks covering the rule are
+  /// still held, and counts the lookup under the tier that won it.
+  template <typename OnWinner>
+  auto Resolve(const net::ParsedPacket& packet, PortId in_port,
+               OnWinner&& on_winner) const;
   void SetRulesGauge() const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t max_exact_rules_per_shard_ = 0;
 
-  // Wildcard (non-exact) tier: owned storage + pointers sorted by
-  // descending priority.
+  // Rules without eth_src, sorted by descending priority (installation
+  // order within a priority).
   mutable SharedMutex wildcard_mutex_{"flow_table.wildcard"};
-  std::vector<std::unique_ptr<FlowRule>> wildcard_storage_
+  std::vector<std::unique_ptr<FlowRule>> wildcard_rules_
       SENTINEL_GUARDED_BY(wildcard_mutex_);
-  std::vector<FlowRule*> wildcard_rules_ SENTINEL_GUARDED_BY(wildcard_mutex_);
 
   // ordering: relaxed — a unique-id ticket; ids must be distinct, never
   // ordered against other memory.
@@ -207,9 +224,9 @@ class FlowTable {
   std::atomic<std::size_t> rule_count_{0};
   // ordering: relaxed — statistics counter (evicted_total()).
   std::atomic<std::uint64_t> evicted_{0};
-  /// Wildcard rule count, readable without the wildcard lock: the match
-  /// path skips that tier entirely (lock and all) while it is empty — the
-  /// overwhelmingly common state for a gateway datapath.
+  /// Count of rules without eth_src, readable without the wildcard lock:
+  /// the match path skips that list entirely (lock and all) while it is
+  /// empty, which it always is on the gateway datapath.
   // ordering: relaxed — an emptiness hint; a stale non-zero read just
   // takes the lock, a transition to non-zero is published by the
   // wildcard_mutex_ release the writer pairs with.

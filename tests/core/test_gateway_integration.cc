@@ -8,6 +8,7 @@
 
 #include "core/gateway.h"
 #include "devices/simulator.h"
+#include "net/dns.h"
 
 namespace sentinel::core {
 namespace {
@@ -51,6 +52,41 @@ class GatewayIntegration : public ::testing::Test {
     }
     const auto last = episode.trace.frames().back().timestamp_ns;
     gateway_.sentinel().FlushIdle(last + 60'000'000'000ull);
+  }
+
+  /// Streams a setup phase no catalog type exhibits from `mac` (entering
+  /// on kDevicePort) and flushes it, so the device is identified as
+  /// unknown. Returns the time after the flushed capture.
+  std::uint64_t PlayAlienSetup(const net::MacAddress& mac,
+                               net::Ipv4Address ip) {
+    // A protocol mix no catalog device exhibits: LLC chatter interleaved
+    // with jumbo vendor UDP and large ICMP probes.
+    const net::MacAddress gateway_mac = gateway_.config().gateway_mac;
+    const net::Ipv4Address cloud(52, 10, 20, 30);
+    std::uint64_t t = 0;
+    for (int i = 0; i < 8; ++i) {
+      gateway_.Ingress(
+          kDevicePort,
+          net::BuildLlcFrame(t, mac, net::MacAddress::Broadcast(),
+                             static_cast<std::size_t>(60 + 11 * i)));
+      t += 20'000'000;
+      net::UdpDatagram udp;
+      udp.src_port = static_cast<std::uint16_t>(1024 + i);
+      udp.dst_port = 31337;
+      udp.payload.assign(static_cast<std::size_t>(900 + 37 * i), 0x5a);
+      gateway_.Ingress(kDevicePort, net::BuildUdp4Frame(t, mac, gateway_mac,
+                                                        ip, cloud, udp));
+      t += 20'000'000;
+      gateway_.Ingress(kDevicePort,
+                       net::BuildIcmp4Frame(
+                           t, mac, gateway_mac, ip, cloud,
+                           net::IcmpMessage::EchoRequest(
+                               static_cast<std::uint16_t>(i), 1, 500)));
+      t += 20'000'000;
+    }
+    t += 60'000'000'000ull;
+    gateway_.sentinel().FlushIdle(t);
+    return t;
   }
 
   static SecurityService* service_;
@@ -187,32 +223,7 @@ TEST_F(GatewayIntegration, UnknownDeviceGetsStrictIsolation) {
   // unknown MAC with an atypical setup sequence.
   const auto alien = *net::MacAddress::Parse("de:ad:be:ef:00:01");
   const net::Ipv4Address alien_ip(192, 168, 1, 200);
-  std::uint64_t t = 0;
-  for (int i = 0; i < 8; ++i) {
-    // A protocol mix no catalog device exhibits: LLC chatter interleaved
-    // with jumbo vendor UDP and large ICMP probes.
-    gateway_.Ingress(kDevicePort,
-                     net::BuildLlcFrame(t, alien, net::MacAddress::Broadcast(),
-                                        static_cast<std::size_t>(60 + 11 * i)));
-    t += 20'000'000;
-    net::UdpDatagram udp;
-    udp.src_port = static_cast<std::uint16_t>(1024 + i);
-    udp.dst_port = 31337;
-    udp.payload.assign(static_cast<std::size_t>(900 + 37 * i), 0x5a);
-    gateway_.Ingress(kDevicePort,
-                     net::BuildUdp4Frame(t, alien, gateway_.config().gateway_mac,
-                                         alien_ip,
-                                         net::Ipv4Address(52, 10, 20, 30), udp));
-    t += 20'000'000;
-    gateway_.Ingress(kDevicePort,
-                     net::BuildIcmp4Frame(
-                         t, alien, gateway_.config().gateway_mac, alien_ip,
-                         net::Ipv4Address(52, 10, 20, 30),
-                         net::IcmpMessage::EchoRequest(
-                             static_cast<std::uint16_t>(i), 1, 500)));
-    t += 20'000'000;
-  }
-  gateway_.sentinel().FlushIdle(t + 60'000'000'000ull);
+  const std::uint64_t t = PlayAlienSetup(alien, alien_ip);
 
   ASSERT_EQ(events_.size(), 1u);
   EXPECT_FALSE(events_[0].assessment.type.has_value());
@@ -231,6 +242,62 @@ TEST_F(GatewayIntegration, UnknownDeviceGetsStrictIsolation) {
                                        alien_ip,
                                        net::Ipv4Address(52, 10, 20, 30), udp));
   EXPECT_TRUE(wan_.empty());
+}
+
+TEST_F(GatewayIntegration, StrictDeviceCannotReachInternetThroughGatewayMac) {
+  // A permitted frame to the gateway MAC (here a DNS query) must not leave
+  // a learned (device, gateway MAC) -> WAN rule behind: the device's later
+  // Internet-bound frames, also addressed to the gateway MAC, would ride it
+  // past their policy check.
+  const auto alien = *net::MacAddress::Parse("de:ad:be:ef:00:02");
+  const net::Ipv4Address alien_ip(192, 168, 1, 201);
+  const std::uint64_t t = PlayAlienSetup(alien, alien_ip);
+  ASSERT_EQ(gateway_.enforcement().EffectiveLevel(alien),
+            IsolationLevel::kStrict);
+  const auto& config = gateway_.config();
+
+  net::ByteWriter query_bytes;
+  const auto query = net::DnsMessage::Query(7, "example.com");
+  query.Encode(query_bytes);
+  net::UdpDatagram to_gateway;
+  to_gateway.src_port = 50001;
+  to_gateway.dst_port = net::kPortDns;
+  to_gateway.payload = std::move(query_bytes).Take();
+
+  net::ByteWriter answer_bytes;
+  net::DnsMessage::Response(query, net::Ipv4Address(52, 10, 20, 30))
+      .Encode(answer_bytes);
+  net::UdpDatagram from_gateway;
+  from_gateway.src_port = net::kPortDns;
+  from_gateway.dst_port = 50001;
+  from_gateway.payload = std::move(answer_bytes).Take();
+
+  // One gateway answer on the WAN port, as PlayEpisode feeds them: the
+  // learning switch learns the gateway MAC there.
+  gateway_.Ingress(config.wan_port,
+                   net::BuildUdp4Frame(t, config.gateway_mac, alien,
+                                       config.gateway_ip, alien_ip,
+                                       from_gateway));
+  // The device's DNS query to the gateway is permitted.
+  gateway_.Ingress(kDevicePort,
+                   net::BuildUdp4Frame(t + 1, alien, config.gateway_mac,
+                                       alien_ip, config.gateway_ip,
+                                       to_gateway));
+  for (const sdn::FlowRule* rule : gateway_.datapath().flow_table().Rules()) {
+    EXPECT_FALSE(rule->match.eth_dst == config.gateway_mac && !rule->IsDrop())
+        << "forwarding rule toward the gateway: " << rule->ToString();
+  }
+
+  wan_.clear();
+  net::UdpDatagram udp;
+  udp.src_port = 2048;
+  udp.dst_port = 31337;
+  udp.payload = {1};
+  gateway_.Ingress(kDevicePort,
+                   net::BuildUdp4Frame(t + 2, alien, config.gateway_mac,
+                                       alien_ip,
+                                       net::Ipv4Address(52, 10, 20, 30), udp));
+  EXPECT_TRUE(wan_.empty()) << "strict device reached the Internet";
 }
 
 TEST_F(GatewayIntegration, ConcurrentOnboardingSeparatesDevicesByMac) {

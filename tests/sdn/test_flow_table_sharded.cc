@@ -4,9 +4,11 @@
 // (the TSan job runs this binary).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <random>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "net/frame.h"
@@ -126,8 +128,8 @@ TEST(ShardedFlowTable, RandomizedShardedVsUnshardedDifferential) {
   FlowTable sharded(FlowTableOptions{.shard_count = 8});
   std::mt19937_64 rng(0x5eed);
 
-  // Identical op stream against both tables; wildcard rules included so
-  // the two-tier path is covered.
+  // Identical op stream against both tables; source-MAC-only rules
+  // included so the (src, any) probe is covered.
   for (int step = 0; step < 4000; ++step) {
     const std::uint64_t src = rng() % 128;
     const std::uint64_t dst = 1000 + rng() % 128;
@@ -149,7 +151,7 @@ TEST(ShardedFlowTable, RandomizedShardedVsUnshardedDifferential) {
         FlowRule wild;
         wild.priority = static_cast<std::uint16_t>(rng() % 16);
         wild.cookie = rng() % 32;
-        wild.match.eth_src = Mac(src);  // src-only: wildcard tier
+        wild.match.eth_src = Mac(src);  // src-only: the (src, any) key
         wild.actions = {ActionOutput{2}};
         FlowRule copy = wild;
         seed_table.Add(std::move(wild), now);
@@ -202,6 +204,35 @@ TEST(ShardedFlowTable, ConcurrentIngressWithMutations) {
   for (std::uint64_t i = 0; i < kPairs; ++i)
     table.Add(ExactRule(i, 5000 + i, 10, i), 0);
 
+  // Besides the exact rules (output 1), the writer churns WAN-allow rules
+  // keyed by source MAC (eth_src + kAllowIp, output 2) and one rule
+  // without eth_src (ip_dst = kGlobalIp, output 3). A probe to a private
+  // address can only match its exact rule; one to kAllowIp or kGlobalIp
+  // may also match the rule installed for that address.
+  const net::Ipv4Address kPrivateIp(10, 0, 0, 2);
+  const net::Ipv4Address kAllowIp(52, 0, 0, 1);
+  const net::Ipv4Address kGlobalIp(52, 0, 0, 3);
+  constexpr std::uint64_t kAllowCookie = 100'000;
+  constexpr std::uint64_t kGlobalCookie = 200'000;
+  const auto allow_rule = [&](std::uint64_t i) {
+    FlowRule rule;
+    rule.priority = 50;
+    rule.cookie = kAllowCookie + i;
+    rule.match.eth_src = Mac(i);
+    rule.match.ip_dst = kAllowIp;
+    rule.actions = {ActionOutput{2}};
+    return rule;
+  };
+  const auto probe = [](std::uint64_t i, net::Ipv4Address ip_dst) {
+    net::UdpDatagram udp;
+    udp.src_port = 40000;
+    udp.dst_port = 8000;
+    udp.payload = {1, 2, 3};
+    return net::ParseFrame(net::BuildUdp4Frame(
+        0, Mac(i), Mac(5000 + i), net::Ipv4Address(10, 0, 0, 1), ip_dst,
+        udp));
+  };
+
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<int> ready{0};
@@ -212,12 +243,28 @@ TEST(ShardedFlowTable, ConcurrentIngressWithMutations) {
       bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::uint64_t i = rng() % kPairs;
-        const auto result =
-            table.Match(Packet(i, 5000 + i), 1, rng() % 1'000'000, 64);
+        const std::array<net::Ipv4Address, 3> targets = {kPrivateIp, kAllowIp,
+                                                         kGlobalIp};
+        const std::size_t target = rng() % targets.size();
+        const auto result = table.Match(probe(i, targets[target]), 1,
+                                        rng() % 1'000'000, 64);
         if (result.matched) {
           hits.fetch_add(1, std::memory_order_relaxed);
           EXPECT_FALSE(result.drop);
-          EXPECT_GE(result.action_count, 1u);
+          EXPECT_EQ(result.action_count, 1u);
+          const PortId port =
+              result.action_count == 0
+                  ? 0
+                  : std::get<ActionOutput>(result.action(0)).port;
+          // Output port and priority identify the rule that won.
+          const bool exact = port == 1 && result.priority == 10;
+          const bool allow =
+              port == 2 && result.priority == 50 && target == 1;
+          const bool global =
+              port == 3 && result.priority == 30 && target == 2;
+          EXPECT_TRUE(exact || allow || global)
+              << "port " << port << ", priority " << result.priority
+              << ", target " << target;
         }
         if (first) {
           // The first pass ran against the fully populated table (the
@@ -238,7 +285,7 @@ TEST(ShardedFlowTable, ConcurrentIngressWithMutations) {
   std::mt19937_64 rng(0xdef);
   for (int step = 0; step < 2000; ++step) {
     const std::uint64_t i = rng() % kPairs;
-    switch (rng() % 3) {
+    switch (rng() % 6) {
       case 0: {
         FlowRule rule = ExactRule(i, 5000 + i, 10, i);
         rule.idle_timeout_ns = 1'000;
@@ -250,6 +297,24 @@ TEST(ShardedFlowTable, ConcurrentIngressWithMutations) {
         break;
       case 2:
         table.ExpireRules(static_cast<std::uint64_t>(step));
+        break;
+      case 3:
+        table.Add(allow_rule(i), static_cast<std::uint64_t>(step));
+        break;
+      case 4:
+        table.RemoveByCookie(kAllowCookie + i);
+        break;
+      case 5:
+        if (rng() % 2 == 0) {
+          FlowRule global;
+          global.priority = 30;
+          global.cookie = kGlobalCookie;
+          global.match.ip_dst = kGlobalIp;
+          global.actions = {ActionOutput{3}};
+          table.Add(std::move(global), static_cast<std::uint64_t>(step));
+        } else {
+          table.RemoveByCookie(kGlobalCookie);
+        }
         break;
     }
   }

@@ -1,4 +1,4 @@
-// SDN substrate tests: flow matching, the two-tier flow table, switch
+// SDN substrate tests: flow matching, the flow table and its tiers, switch
 // datapath semantics and the learning controller.
 #include <gtest/gtest.h>
 
@@ -137,6 +137,12 @@ TEST(FlowTable, WildcardRulesScanAfterExact) {
   const FlowRule* hit = table.Lookup(Parse(UdpFrame(kA, kB, kIpA, kIpB)), 1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->priority, 200);
+  // The lookup counts once, under the tier that won it.
+  const auto stats = table.stats();
+  EXPECT_EQ(stats.lookups, 1u);
+  EXPECT_EQ(stats.hash_hits, 0u);
+  EXPECT_EQ(stats.linear_hits, 1u);
+  EXPECT_EQ(stats.lookups, stats.hash_hits + stats.linear_hits + stats.misses);
 }
 
 TEST(FlowTable, FlowModReplaceSemantics) {
