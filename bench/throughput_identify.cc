@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,24 @@ sentinel::devices::FingerprintDataset Widen(
       out.fingerprints.push_back(std::move(fp));
       out.labels.push_back(static_cast<int>(s));
     }
+  }
+  return out;
+}
+
+/// `set` in a seeded shuffled order. A gateway meets device types in
+/// arrival order; probes timed in type order let the branch predictor
+/// learn each classifier's trees and understate the per-call cost.
+sentinel::devices::FingerprintDataset Shuffled(
+    const sentinel::devices::FingerprintDataset& set, std::uint64_t seed) {
+  std::vector<std::size_t> order(set.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::mt19937_64 rng(seed);
+  std::shuffle(order.begin(), order.end(), rng);
+  sentinel::devices::FingerprintDataset out;
+  for (const std::size_t i : order) {
+    out.fingerprints.push_back(set.fingerprints[i]);
+    out.fixed.push_back(set.fixed[i]);
+    out.labels.push_back(set.labels[i]);
   }
   return out;
 }
@@ -145,6 +165,7 @@ int main(int argc, char** argv) {
       sentinel::devices::GenerateFingerprintDataset(train_episodes, 42);
   const auto probe_base =
       sentinel::devices::GenerateFingerprintDataset(probe_episodes, 4242);
+  constexpr std::uint64_t kProbeOrderSeed = 4243;
 
   sentinel::util::ThreadPool pool(8);
   std::vector<BankNumbers> rows;
@@ -154,7 +175,7 @@ int main(int argc, char** argv) {
               "fast 8t id/s", "batch 1t id/s", "batch 8t id/s", "speedup");
   for (const std::size_t types : bank_sizes) {
     const auto train = Widen(train_base, types);
-    const auto probes = Widen(probe_base, types);
+    const auto probes = Shuffled(Widen(probe_base, types), kProbeOrderSeed);
     std::vector<DeviceIdentifier::FingerprintRef> refs;
     refs.reserve(probes.size());
     for (std::size_t i = 0; i < probes.size(); ++i)
@@ -230,7 +251,7 @@ int main(int argc, char** argv) {
   double quality_on_ips = 0.0;
   {
     const auto train = Widen(train_base, 31);
-    const auto probes = Widen(probe_base, 31);
+    const auto probes = Shuffled(Widen(probe_base, 31), kProbeOrderSeed);
     DeviceIdentifier identifier;
     identifier.set_thread_pool(&pool);
     identifier.Train(ToExamples(train));
@@ -302,7 +323,7 @@ int main(int argc, char** argv) {
   double profiler_on_ips = 0.0;
   {
     const auto train = Widen(train_base, 31);
-    const auto probes = Widen(probe_base, 31);
+    const auto probes = Shuffled(Widen(probe_base, 31), kProbeOrderSeed);
     DeviceIdentifier identifier;
     identifier.set_thread_pool(&pool);
     identifier.Train(ToExamples(train));
@@ -357,20 +378,21 @@ int main(int argc, char** argv) {
         << "% single-probe throughput (budget: 2%)";
   }
 
-  // Multithreaded-dispatch guard: on this container nproc is 1, so the
-  // 8-thread per-call mode cannot beat single-threaded — every fan-out
-  // buys zero parallelism and pays wake-ups and context switches. That
-  // fast_8t <= fast_1t at 16-128 types is therefore *expected* here, not
-  // a regression; what must hold is that the dispatch machinery's tax is
-  // bounded. Same paired-slice-median protocol as the overhead gates
-  // above: each pair times pooled and unpooled back to back in
-  // alternating order, and the median per-pair ratio discards pairs hit
-  // by preemption or frequency drift.
+  // Multithreaded-dispatch guard: per-call Identify keeps its scan and
+  // tie-break on the calling thread whether or not a pool is attached (one
+  // probe is too little work to split), so fast_8t ~= fast_1t is expected
+  // on any core count; parallel throughput comes from IdentifyBatch
+  // (batch_8t) or from concurrent callers. What must hold is that
+  // attaching the pool costs the per-call path little. Same
+  // paired-slice-median protocol as the overhead gates above: each pair
+  // times pooled and unpooled back to back in alternating order, and the
+  // median per-pair ratio discards pairs hit by preemption or frequency
+  // drift.
   double mt_1t_ips = 0.0;
   double mt_8t_ips = 0.0;
   {
     const auto train = Widen(train_base, 31);
-    const auto probes = Widen(probe_base, 31);
+    const auto probes = Shuffled(Widen(probe_base, 31), kProbeOrderSeed);
     DeviceIdentifier identifier;
     identifier.set_thread_pool(&pool);
     identifier.Train(ToExamples(train));
@@ -413,11 +435,11 @@ int main(int argc, char** argv) {
     mt_8t_ips = mt_1t_ips / median_ratio;
     std::printf(
         "mt dispatch (31 types): 1t %.0f id/s, 8t %.0f id/s, 8t/1t %.2fx "
-        "(single-core host: <= 1.0x expected)\n",
+        "(per-call stays on the caller: ~1.0x expected)\n",
         mt_1t_ips, mt_8t_ips, mt_8t_ips / mt_1t_ips);
-    // One-sided floor only: 8t may lose to 1t on one core, but if pooled
-    // dispatch costs more than ~60% of throughput the fan-out path itself
-    // has regressed (oversized tasks, lock churn, lost wakeups).
+    // One-sided floor only: if an attached pool costs more than ~60% of
+    // per-call throughput, per-call work has started fanning out (oversized
+    // tasks, lock churn, lost wakeups).
     SENTINEL_CHECK(mt_8t_ips >= 0.4 * mt_1t_ips)
         << "pooled per-call dispatch at " << mt_8t_ips / mt_1t_ips
         << "x single-threaded (floor: 0.4x)";
@@ -459,9 +481,9 @@ int main(int argc, char** argv) {
         f,
         "  \"mt_dispatch\": {\"types\": 31, \"fast_1t\": %.1f, "
         "\"fast_8t\": %.1f, \"ratio_8t_over_1t\": %.2f, \"floor\": 0.4, "
-        "\"note\": \"single-core container: pooled fan-out buys no "
-        "parallelism, so 8t <= 1t is expected; the floor bounds dispatch "
-        "overhead, not speedup\"},\n",
+        "\"note\": \"per-call Identify stays on the calling thread with a "
+        "pool attached, so 8t ~= 1t on any core count; the floor bounds "
+        "what attaching the pool costs; batch_8t is the parallel path\"},\n",
         mt_1t_ips, mt_8t_ips, mt_8t_ips / mt_1t_ips);
     std::fprintf(f, "  \"observability\": %s\n",
                  session.ObservabilityJson().c_str());

@@ -142,13 +142,13 @@ class DeviceIdentifier {
                const std::vector<LabelledFingerprint>& negatives);
 
   /// Routes Identify() through the compiled fast path (arena-flattened
-  /// classifier bank + pruned edit-distance tie-break, the default) or the
-  /// reference implementation. Verdicts, bank probabilities, matched-type
-  /// lists and the winning dissimilarity score are bit-identical either
-  /// way (differentially tested); only dissimilarity scores of candidates
-  /// that provably lost may differ (the fast path records a certified
-  /// lower bound instead of finishing the computation), along with
-  /// edit_distance_count.
+  /// classifier bank + the pruned edit-distance tie-break kernel, the
+  /// default) or the reference implementation. Verdicts, bank
+  /// probabilities, matched-type lists, tie_break_count and the winning
+  /// dissimilarity score are bit-identical either way (differentially
+  /// tested); only dissimilarity scores of candidates that provably lost
+  /// may differ (the fast path records a certified lower bound instead of
+  /// finishing the computation), along with edit_distance_count.
   void set_fast_path(bool on) { fast_path_ = on; }
   [[nodiscard]] bool fast_path() const { return fast_path_; }
 
@@ -196,21 +196,16 @@ class DeviceIdentifier {
       std::span<const FingerprintRef> probes) const;
 
   /// Serving-grade batch identification: the kernel behind the always-on
-  /// server's micro-batched drain. Verdict-grade fields — type,
-  /// matched_types, tie_break_count and every dissimilarity score of a
-  /// candidate that completed discrimination (the winner always does) —
-  /// are bit-identical to Identify()/IdentifyBatch() on the default fast
-  /// path: the stage-1 accept test is exact (threshold early exit decides
-  /// the same verdict from certified tree-suffix bounds) and stage-2
-  /// pruning only ever eliminates candidates provably unable to win or
-  /// tie, leaving the probe-hash-seeded RNG stream untouched. Provenance
-  /// differs in grade, not meaning: bank_probabilities are certified
-  /// bounds when a scan exits early (as with set_bank_early_exit),
-  /// pruned losers may record lower bounds reached before the DP was
-  /// entered (a cheap bag-of-packets bound prunes most of them), and the
-  /// per-stage timings are zero — the serving loop takes no per-probe
-  /// clock reads. Runs sequentially on the calling thread (the drain
-  /// thread of a one-core gateway), never touching the thread pool.
+  /// server's micro-batched drain. Stage 2 is the same tie-break kernel
+  /// Identify()/IdentifyBatch() run, so type, matched_types,
+  /// tie_break_count, dissimilarity_scores and edit_distance_count match
+  /// them on the default fast path; the stage-1 accept test is exact too
+  /// (threshold early exit decides the same verdict from certified
+  /// tree-suffix bounds). Provenance differs in grade, not meaning:
+  /// bank_probabilities are certified bounds when a scan exits early (as
+  /// with set_bank_early_exit), and the per-stage timings are zero — the
+  /// serving loop takes no per-probe clock reads. Runs sequentially on the
+  /// calling thread, never touching the thread pool.
   [[nodiscard]] std::vector<IdentificationResult> IdentifyBatchServe(
       std::span<const FingerprintRef> probes) const;
 
@@ -240,28 +235,20 @@ class DeviceIdentifier {
     ml::FlatForest flat;
     /// Training fingerprints retained as discrimination references.
     std::vector<features::Fingerprint> references;
-    /// Interned forms of `references`, built alongside `flat`: each
-    /// reference's packets as dense ids over a per-type frozen table.
-    /// DiscriminateFast interns only the probe (lookup-only) against this
-    /// table per candidate, so the per-reference interning work that would
-    /// otherwise repeat on every identification happens once here.
-    features::PacketInterner reference_table;
-    std::vector<std::vector<std::uint32_t>> reference_ids;
   };
 
-  /// Cross-type serve index: one interner spanning every type's
-  /// references, so DiscriminateServe interns a probe once per probe
-  /// (instead of once per candidate type) and builds one Myers pattern
-  /// reused across all candidates. Id equality over the shared table is
-  /// still equivalent to packet equality, so every edit distance is
-  /// unchanged. Rebuilt by CompileServeIndex(); never serialized.
-  struct ServeIndex {
+  /// Cross-type tie-break index: one interner spanning every type's
+  /// references, so the tie-break interns a probe once (not once per
+  /// candidate type) and builds one Myers pattern reused across all
+  /// candidates. Id equality over the shared table is still equivalent to
+  /// packet equality, so every edit distance is unchanged. Rebuilt by
+  /// CompileTieBreakIndex(); never serialized.
+  struct TieBreakIndex {
     features::PacketInterner table;
-    /// Per types_ slot, per reference: its packets as ids in `table`'s
-    /// space (same sequences as PerType::reference_ids, different ids).
+    /// Per types_ slot, per reference: its packets as ids in `table`.
     std::vector<std::vector<std::vector<std::uint32_t>>> reference_ids;
     /// Per types_ slot, per reference: its interned ids as a sorted
-    /// (id, count) multiset. The serve path intersects a probe's id
+    /// (id, count) multiset. The tie-break intersects a probe's id
     /// histogram with these bags to certify the OSA lower bound
     /// max(n, m) - |bag intersection| before committing to a DP (every
     /// kept element of an alignment consumes one occurrence from each
@@ -270,14 +257,9 @@ class DeviceIdentifier {
         reference_bags;
   };
 
-  /// Compiles `entry`'s runtime acceleration structures (arena forest +
-  /// interned references) from its trained state. Called after TrainOne /
-  /// AddType / Load; never affects serialized bytes.
-  static void CompileEntry(PerType& entry);
-
-  /// Rebuilds serve_ from types_. Called (sequentially) after Train /
+  /// Rebuilds tie_break_ from types_. Called (sequentially) after Train /
   /// AddType / Load, alongside RebuildLabelIndex.
-  void CompileServeIndex();
+  void CompileTieBreakIndex();
 
   /// Trains one per-type binary classifier. Rows are the pre-flattened F'
   /// vectors of the positives / candidate negatives (flattening is hoisted
@@ -310,38 +292,25 @@ class DeviceIdentifier {
   /// bank_probabilities / matched_types via the compiled bank.
   void ScanBankFast(std::span<const double> row,
                     IdentificationResult& result) const;
-  /// Fast-path stage 2 (pruned tie-break) for one probe whose
-  /// matched_types is non-empty. Sequential over candidates and
-  /// references (the pruning budget accumulates left to right), so it is
-  /// thread-pool independent and safe to run per-probe in IdentifyBatch.
-  void DiscriminateFast(const features::Fingerprint& full,
-                        IdentificationResult& result,
-                        features::EditDistanceScratch& scratch) const;
   [[nodiscard]] IdentificationResult IdentifyFast(
       const features::Fingerprint& full,
       const features::FixedFingerprint& fixed) const;
 
-  /// Reusable buffers for the serving-grade batch kernel: one instance
-  /// serves a whole batch with no per-probe or per-candidate allocation.
-  struct ServeScratch {
-    features::EditDistanceScratch ed;
-    /// Fisher-Yates index buffer for reference picks.
-    std::vector<std::size_t> indices;
-    /// Probe packet-id histogram over the serve table, kept all-zero
-    /// between probes (each probe zeroes exactly the ids it touched).
-    std::vector<std::uint32_t> counts;
-    /// Per-chosen-reference bag lower bounds for the current candidate.
-    std::vector<std::size_t> bag_lb;
-  };
-
-  /// Serving-grade stage 2: DiscriminateFast's exact control flow (same
-  /// RNG stream, same pruning certificates, same ties and coins) with the
-  /// per-candidate type lookup through label_index_, scratch-buffer reuse
-  /// instead of per-candidate allocation, bag-bound pre-DP pruning, and
-  /// no clock reads or spans.
-  void DiscriminateServe(const features::Fingerprint& full,
-                         IdentificationResult& result,
-                         ServeScratch& scratch) const;
+  /// Stage 2, the one fast-path tie-break kernel, for a probe whose
+  /// matched_types is non-empty: the reference implementation's RNG
+  /// stream, ties and coins, with the probe interned once against
+  /// tie_break_, bag-bound pre-DP pruning and a Myers-capped DP band.
+  /// Sequential over candidates and references (the pruning budget
+  /// accumulates left to right) on a thread-local scratch, so it is
+  /// thread-pool independent and safe to run concurrently. Takes no clock
+  /// reads or spans. Returns the number of reference comparisons pruned.
+  std::size_t Discriminate(const features::Fingerprint& full,
+                           IdentificationResult& result) const;
+  /// Discriminate() plus the stage timing the per-call and batch paths
+  /// report: discrimination_time, the sentinel_stage_tie_break span and
+  /// the discrimination-latency histogram.
+  void DiscriminateTimed(const features::Fingerprint& full,
+                         IdentificationResult& result) const;
 
   /// Reduces a finished result to a QualitySample and records it on the
   /// attached monitor (single branch when detached). Read-only: never
@@ -354,7 +323,7 @@ class DeviceIdentifier {
 
   IdentifierConfig config_;
   std::vector<PerType> types_;
-  ServeIndex serve_;
+  TieBreakIndex tie_break_;
   std::vector<int> labels_;
   /// label -> index into types_, so discrimination resolves a candidate
   /// without a linear scan over the bank.

@@ -91,14 +91,8 @@ std::size_t Controller::learned_mac_count() const {
 }
 
 void Controller::OnPacketIn(SoftwareSwitch& sw, PortId in_port,
-                            const net::Frame& frame) {
-  net::ParsedPacket packet;
-  try {
-    packet = net::ParseFrame(frame);
-  } catch (const net::CodecError&) {
-    return;
-  }
-
+                            const net::Frame& frame,
+                            const net::ParsedPacket& packet) {
   for (const auto& module : modules_) {
     if (module->OnPacketIn(sw, in_port, frame, packet) ==
         ControllerModule::Verdict::kHandled) {

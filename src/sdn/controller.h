@@ -70,12 +70,14 @@ class Controller {
     modules_.push_back(std::move(module));
   }
 
-  /// Entry point invoked by switches on table miss. Applies modules, then
+  /// Entry point invoked by switches on table miss, with the packet the
+  /// switch already parsed from `frame`. Applies modules, then
   /// (optionally) MAC-learning forwarding: learned destination -> output +
   /// install exact flow, unknown -> flood. Safe to call concurrently once
   /// the module chain is registered (module handlers own their internal
   /// synchronization; the MAC table locks per shard).
-  void OnPacketIn(SoftwareSwitch& sw, PortId in_port, const net::Frame& frame);
+  void OnPacketIn(SoftwareSwitch& sw, PortId in_port, const net::Frame& frame,
+                  const net::ParsedPacket& packet);
 
   /// Installs a rule into the switch's table (FlowMod).
   static void InstallRule(SoftwareSwitch& sw, FlowRule rule) {

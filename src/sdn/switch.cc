@@ -66,7 +66,8 @@ bool SoftwareSwitch::Inject(PortId in_port, const net::Frame& frame) {
     ++counters_.packet_ins;
     if (handles_.packet_ins_total != nullptr)
       handles_.packet_ins_total->Increment();
-    if (controller_ != nullptr) controller_->OnPacketIn(*this, in_port, frame);
+    if (controller_ != nullptr)
+      controller_->OnPacketIn(*this, in_port, frame, packet);
     // The controller may have installed rules and/or forwarded the frame
     // itself; from the datapath's perspective this frame is handled.
     return true;
@@ -91,7 +92,7 @@ bool SoftwareSwitch::Inject(PortId in_port, const net::Frame& frame) {
       if (handles_.packet_ins_total != nullptr)
         handles_.packet_ins_total->Increment();
       if (controller_ != nullptr)
-        controller_->OnPacketIn(*this, in_port, frame);
+        controller_->OnPacketIn(*this, in_port, frame, packet);
     }
   }
   if (forwarded) {

@@ -45,8 +45,10 @@ TEST(FleetSharding, ControllerMacTableBoundedByPerShardCap) {
   sw.SetController(&controller);
 
   // 500 distinct stations appear; the table may hold at most 4*8 of them.
-  for (std::uint64_t i = 0; i < 500; ++i)
-    controller.OnPacketIn(sw, 1, Frame(i, 0xffffffffffffull));
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    const net::Frame frame = Frame(i, 0xffffffffffffull);
+    controller.OnPacketIn(sw, 1, frame, net::ParseFrame(frame));
+  }
 
   EXPECT_LE(controller.learned_mac_count(), 4u * 8u);
   EXPECT_GE(controller.macs_evicted_total(), 500u - 4u * 8u);
@@ -60,8 +62,10 @@ TEST(FleetSharding, ControllerUncappedLearnsEveryStation) {
   sw.AttachPort(1, [](const net::Frame&) {});
   sdn::Controller controller(sdn::ControllerOptions{.shard_count = 8});
   sw.SetController(&controller);
-  for (std::uint64_t i = 0; i < 300; ++i)
-    controller.OnPacketIn(sw, 1, Frame(i, 0xffffffffffffull));
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const net::Frame frame = Frame(i, 0xffffffffffffull);
+    controller.OnPacketIn(sw, 1, frame, net::ParseFrame(frame));
+  }
   EXPECT_EQ(controller.learned_mac_count(), 300u);
   EXPECT_EQ(controller.macs_evicted_total(), 0u);
 }

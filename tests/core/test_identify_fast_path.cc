@@ -1,13 +1,20 @@
 // Differential tests for the identification fast path: the compiled-bank
 // scan with pruned tie-break must be bit-identical to the reference
-// implementation on every verdict-relevant output, IdentifyBatch must
-// match per-call Identify exactly, and compilation must never perturb the
-// serialized model bundle.
+// implementation on every verdict-relevant output — on simulator datasets
+// and on the fingerprints a gateway captures — IdentifyBatch must match
+// per-call Identify exactly, concurrent callers must answer as a
+// sequential pass does, and compilation must never perturb the serialized
+// model bundle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/device_identifier.h"
+#include "core/gateway.h"
+#include "core/security_service.h"
 #include "devices/simulator.h"
 #include "net/byte_io.h"
 #include "util/thread_pool.h"
@@ -306,6 +313,268 @@ TEST(IdentifyFastPath, PruningCountersFire) {
     (void)identifier.Identify(dataset.fingerprints[i], dataset.fixed[i]);
   const auto& early = registry.GetCounter("sentinel_bank_early_exit_total", "");
   EXPECT_GT(early.Value(), 0u);
+  const auto& pruned =
+      registry.GetCounter("sentinel_identifier_editdist_pruned_total", "");
+  EXPECT_GT(pruned.Value(), 0u);
+}
+
+// Every field a result carries except the two wall-clock stage timings.
+void ExpectSameResult(const core::IdentificationResult& got,
+                      const core::IdentificationResult& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.matched_types, want.matched_types);
+  EXPECT_EQ(got.bank_labels, want.bank_labels);
+  EXPECT_EQ(got.bank_probabilities, want.bank_probabilities);
+  EXPECT_EQ(got.acceptance_threshold, want.acceptance_threshold);
+  EXPECT_EQ(got.dissimilarity_scores, want.dissimilarity_scores);
+  EXPECT_EQ(got.edit_distance_count, want.edit_distance_count);
+  EXPECT_EQ(got.tie_break_count, want.tie_break_count);
+}
+
+// The per-call stage timings the gateway journals and the e2e benchmark's
+// per-layer split read: classification_time, discrimination_time and one
+// discrimination-histogram observation per probe that reached stage 2.
+// The serving kernel takes no per-probe clock reads.
+TEST(IdentifyFastPath, StageTimingsSurvive) {
+  const auto dataset = devices::GenerateFingerprintDataset(6, 71);
+  obs::MetricsRegistry registry;
+  core::DeviceIdentifier identifier;
+  identifier.set_metrics(&registry);
+  identifier.Train(ToExamples(dataset));
+  const auto& discrimination =
+      registry.GetHistogram("sentinel_identifier_discrimination_ns", "");
+  std::uint64_t reached_stage2 = 0;
+  std::size_t multi_matches = 0;
+  std::vector<core::DeviceIdentifier::FingerprintRef> refs;
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    refs.push_back({&dataset.fingerprints[i], &dataset.fixed[i]});
+    const auto result =
+        identifier.Identify(dataset.fingerprints[i], dataset.fixed[i]);
+    if (!result.matched_types.empty()) ++reached_stage2;
+    if (result.matched_types.size() < 2) continue;
+    ++multi_matches;
+    EXPECT_GT(result.classification_time.count(), 0);
+    EXPECT_GT(result.discrimination_time.count(), 0);
+  }
+  EXPECT_GT(multi_matches, 0u);
+  EXPECT_EQ(discrimination.Count(), reached_stage2);
+
+  for (const auto& served : identifier.IdentifyBatchServe(refs)) {
+    EXPECT_EQ(served.classification_time.count(), 0);
+    EXPECT_EQ(served.discrimination_time.count(), 0);
+  }
+  EXPECT_EQ(discrimination.Count(), reached_stage2);
+}
+
+// Forwards to the service and records every fingerprint the gateway asks
+// it to assess, in arrival order.
+class RecordingClient : public core::SecurityServiceClient {
+ public:
+  explicit RecordingClient(core::SecurityService& service)
+      : service_(service) {}
+  core::AssessmentResult Assess(
+      const features::Fingerprint& full,
+      const features::FixedFingerprint& fixed) override {
+    full_.push_back(full);
+    fixed_.push_back(fixed);
+    return service_.Assess(full, fixed);
+  }
+  [[nodiscard]] const std::vector<features::Fingerprint>& full() const {
+    return full_;
+  }
+  [[nodiscard]] const std::vector<features::FixedFingerprint>& fixed() const {
+    return fixed_;
+  }
+
+ private:
+  core::SecurityService& service_;
+  std::vector<features::Fingerprint> full_;
+  std::vector<features::FixedFingerprint> fixed_;
+};
+
+// The probes a gateway actually assesses: setup-phase captures cut from
+// concurrent joins whose frames interleave with background phones and
+// laptops, fingerprinted by the monitor in arrival order — not whole
+// training-style episodes sorted by type.
+TEST(IdentifyFastPath, MatchesReferenceOnGatewayCapturedProbes) {
+  auto service = core::BuildTrainedSecurityService(/*n_per_type=*/6,
+                                                   /*seed=*/2027);
+  RecordingClient client(*service);
+  core::SecurityGateway gateway(client);
+  gateway.AttachWan([](const net::Frame&) {});
+  constexpr std::size_t kFirstPort = 10;
+  constexpr std::size_t kPorts = 8;
+  for (std::size_t p = 0; p < kPorts; ++p) {
+    gateway.AttachPort(static_cast<sdn::PortId>(kFirstPort + p),
+                       [](const net::Frame&) {});
+  }
+
+  const std::size_t catalog = devices::DeviceTypeCount();
+  std::uint64_t clock_ns = 1'000'000'000;
+  for (std::size_t group = 0; group < 10; ++group) {
+    devices::DeviceSimulator simulator(9000 + group);
+    std::vector<devices::DeviceTypeId> types;
+    for (std::size_t k = 0; k < 5; ++k) {
+      types.push_back(
+          static_cast<devices::DeviceTypeId>((group * 5 + k * 7) % catalog));
+    }
+    auto joins = simulator.RunConcurrentSetupEpisodes(types);
+    std::vector<net::Frame> frames = joins.merged.frames();
+    std::vector<devices::SimulatedEpisode> episodes = std::move(joins.episodes);
+    // Background devices join at the same instant as the group.
+    const std::uint64_t base = frames.front().timestamp_ns;
+    for (const auto kind : {devices::BackgroundDeviceKind::kSmartphone,
+                            devices::BackgroundDeviceKind::kLaptop}) {
+      auto episode = simulator.RunBackgroundEpisode(kind);
+      const std::uint64_t shift =
+          episode.trace.frames().front().timestamp_ns - base;
+      for (net::Frame frame : episode.trace.frames()) {
+        frame.timestamp_ns -= shift;
+        frames.push_back(std::move(frame));
+      }
+      episodes.push_back(std::move(episode));
+    }
+    std::stable_sort(frames.begin(), frames.end(),
+                     [](const net::Frame& a, const net::Frame& b) {
+                       return a.timestamp_ns < b.timestamp_ns;
+                     });
+    std::unordered_map<std::uint64_t, sdn::PortId> ports;
+    for (std::size_t e = 0; e < episodes.size(); ++e) {
+      ports.emplace(episodes[e].device_mac.ToUint64(),
+                    static_cast<sdn::PortId>(kFirstPort + e % kPorts));
+    }
+    // Each group arrives after the previous one has been flushed.
+    const std::uint64_t offset = clock_ns - base;
+    for (net::Frame frame : frames) {
+      frame.timestamp_ns += offset;
+      const auto packet = net::ParseFrame(frame);
+      const auto it = ports.find(packet.src_mac.ToUint64());
+      gateway.Ingress(
+          it == ports.end() ? gateway.config().wan_port : it->second, frame);
+    }
+    clock_ns = frames.back().timestamp_ns + offset + 60'000'000'000ull;
+    gateway.sentinel().FlushIdle(clock_ns);
+  }
+
+  auto& identifier = service->identifier();
+  const auto& full = client.full();
+  const auto& fixed = client.fixed();
+  ASSERT_GE(full.size(), 10u * 5u);
+  std::vector<core::IdentificationResult> per_call;
+  std::size_t multi_matches = 0;
+  std::size_t unknown = 0;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    const auto fast = identifier.Identify(full[i], fixed[i]);
+    identifier.set_fast_path(false);
+    const auto reference = identifier.Identify(full[i], fixed[i]);
+    identifier.set_fast_path(true);
+    ExpectVerdictEqual(fast, reference);
+    EXPECT_EQ(fast.tie_break_count, reference.tie_break_count);
+    EXPECT_LE(fast.edit_distance_count, reference.edit_distance_count);
+    if (fast.matched_types.size() > 1) ++multi_matches;
+    if (!fast.IsKnown()) ++unknown;
+    per_call.push_back(fast);
+  }
+  // The capture must exercise the tie-break and the open-set verdicts.
+  EXPECT_GT(multi_matches, 0u);
+  EXPECT_GT(unknown, 0u);
+
+  std::vector<core::DeviceIdentifier::FingerprintRef> refs;
+  for (std::size_t i = 0; i < full.size(); ++i)
+    refs.push_back({&full[i], &fixed[i]});
+  const auto batch = identifier.IdentifyBatch(refs);
+  const auto served = identifier.IdentifyBatchServe(refs);
+  ASSERT_EQ(batch.size(), full.size());
+  ASSERT_EQ(served.size(), full.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ExpectSameResult(batch[i], per_call[i]);
+    // Serving runs the same stage-2 kernel: only its stage-1 provenance
+    // grade differs.
+    ExpectServeVerdictEqual(served[i], per_call[i]);
+    EXPECT_EQ(served[i].dissimilarity_scores, per_call[i].dissimilarity_scores);
+    EXPECT_EQ(served[i].edit_distance_count, per_call[i].edit_distance_count);
+  }
+}
+
+std::vector<core::IdentificationResult> IdentifyAll(
+    const core::DeviceIdentifier& identifier,
+    const devices::FingerprintDataset& probes) {
+  std::vector<core::IdentificationResult> results;
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    results.push_back(
+        identifier.Identify(probes.fingerprints[i], probes.fixed[i]));
+  return results;
+}
+
+// Concurrent callers share one const identifier; each thread's stage 2
+// runs on its own thread-local scratch.
+TEST(IdentifyFastPath, ConcurrentCallersMatchSequentialPass) {
+  const auto dataset = devices::GenerateFingerprintDataset(5, 83);
+  const core::DeviceIdentifier identifier = TrainedIdentifier(dataset);
+  const auto sequential = IdentifyAll(identifier, dataset);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<core::IdentificationResult> concurrent(dataset.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < dataset.size(); i += kThreads)
+        concurrent[i] =
+            identifier.Identify(dataset.fingerprints[i], dataset.fixed[i]);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 0; i < dataset.size(); ++i)
+    ExpectSameResult(concurrent[i], sequential[i]);
+}
+
+// Two identifiers whose tie-break tables differ in size alternate on one
+// thread's scratch. The scratch's all-zero invariants (probe histogram,
+// Myers masks) must hold across them, so each answers as it does alone.
+TEST(IdentifyFastPath, IdentifiersSharingAThreadScratchAnswerAsAlone) {
+  const auto large_set = devices::GenerateFingerprintDataset(6, 91);
+  devices::FingerprintDataset small_set;
+  const auto small_base = devices::GenerateFingerprintDataset(3, 92);
+  for (std::size_t i = 0; i < small_base.size(); ++i) {
+    if (small_base.labels[i] % 3 != 0) continue;
+    small_set.fingerprints.push_back(small_base.fingerprints[i]);
+    small_set.fixed.push_back(small_base.fixed[i]);
+    small_set.labels.push_back(small_base.labels[i]);
+  }
+  const auto large = TrainedIdentifier(large_set);
+  const auto small = TrainedIdentifier(small_set);
+  ASSERT_LT(small.type_count(), large.type_count());
+  // Probes both banks multi-match on.
+  const auto& probes = large_set;
+
+  // Each "alone" pass runs on a fresh thread, so on a fresh scratch.
+  std::vector<core::IdentificationResult> large_alone;
+  std::vector<core::IdentificationResult> small_alone;
+  std::thread([&] { large_alone = IdentifyAll(large, probes); }).join();
+  std::thread([&] { small_alone = IdentifyAll(small, probes); }).join();
+
+  std::vector<core::IdentificationResult> large_mixed(probes.size());
+  std::vector<core::IdentificationResult> small_mixed(probes.size());
+  std::thread([&] {
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      // Alternate which bank goes first so each follows the other.
+      const auto* first = i % 2 == 0 ? &small : &large;
+      const auto* second = i % 2 == 0 ? &large : &small;
+      auto& first_out = i % 2 == 0 ? small_mixed : large_mixed;
+      auto& second_out = i % 2 == 0 ? large_mixed : small_mixed;
+      first_out[i] = first->Identify(probes.fingerprints[i], probes.fixed[i]);
+      second_out[i] =
+          second->Identify(probes.fingerprints[i], probes.fixed[i]);
+    }
+  }).join();
+
+  std::size_t small_stage2 = 0;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    ExpectSameResult(large_mixed[i], large_alone[i]);
+    ExpectSameResult(small_mixed[i], small_alone[i]);
+    if (!small_alone[i].matched_types.empty()) ++small_stage2;
+  }
+  EXPECT_GT(small_stage2, 0u);
 }
 
 }  // namespace
