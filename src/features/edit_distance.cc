@@ -386,33 +386,6 @@ PrunedNormalized PrunedNormalizedEditDistance(const Fingerprint& a,
 
 PrunedNormalized PrunedNormalizedEditDistance(std::span<const std::uint32_t> a,
                                               std::span<const std::uint32_t> b,
-                                              double partial_score,
-                                              double best_score,
-                                              EditDistanceScratch& scratch) {
-  return PrunedNormalizedImpl(
-      std::max(a.size(), b.size()), 0,
-      std::numeric_limits<std::size_t>::max(), partial_score, best_score,
-      [&](std::size_t cutoff) {
-        return BoundedEditDistanceImpl(a, b, cutoff, scratch);
-      });
-}
-
-PrunedNormalized PrunedNormalizedEditDistance(std::span<const std::uint32_t> a,
-                                              std::span<const std::uint32_t> b,
-                                              std::size_t external_lower_bound,
-                                              double partial_score,
-                                              double best_score,
-                                              EditDistanceScratch& scratch) {
-  return PrunedNormalizedImpl(
-      std::max(a.size(), b.size()), external_lower_bound,
-      std::numeric_limits<std::size_t>::max(), partial_score, best_score,
-      [&](std::size_t cutoff) {
-        return BoundedEditDistanceImpl(a, b, cutoff, scratch);
-      });
-}
-
-PrunedNormalized PrunedNormalizedEditDistance(std::span<const std::uint32_t> a,
-                                              std::span<const std::uint32_t> b,
                                               std::size_t external_lower_bound,
                                               std::size_t external_upper_bound,
                                               double partial_score,

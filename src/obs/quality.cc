@@ -29,6 +29,14 @@ std::vector<double> DefaultDissimilarityBounds() {
   return bounds;
 }
 
+/// `bounds` sorted, or `fallback()` when empty.
+std::vector<double> SortedBounds(std::vector<double> bounds,
+                                 std::vector<double> (*fallback)()) {
+  if (bounds.empty()) return fallback();
+  std::sort(bounds.begin(), bounds.end());
+  return bounds;
+}
+
 /// Population stability index between two cumulative bucket vectors with
 /// identical bounds: `live` = `current` - `baseline` per bucket.
 double ComputePsi(const Histogram::Snapshot& baseline,
@@ -62,63 +70,71 @@ double ComputePsi(const Histogram::Snapshot& baseline,
 
 QualityMonitor::QualityMonitor(MetricsRegistry* registry,
                                QualityMonitorConfig config)
-    : registry_(registry), config_(std::move(config)) {
+    : registry_(registry),
+      config_(std::move(config)),
+      margin_bounds_(SortedBounds(config_.margin_bounds, DefaultMarginBounds)),
+      dissimilarity_bounds_(SortedBounds(config_.dissimilarity_bounds,
+                                         DefaultDissimilarityBounds)),
+      totals_(std::make_shared<Totals>(margin_bounds_)) {
   SENTINEL_CHECK(registry_ != nullptr) << "quality monitor needs a registry";
-  identifications_total_ = &registry_->GetCounter(
-      "sentinel_quality_identifications_total",
-      "verdicts observed by the quality monitor");
-  unknown_total_ = &registry_->GetCounter(
-      "sentinel_quality_unknown_total",
-      "verdicts reported as new/unknown device-types");
-  multi_match_total_ = &registry_->GetCounter(
-      "sentinel_quality_multi_match_total",
-      "verdicts with more than one accepting classifier");
-  tiebreak_total_ = &registry_->GetCounter(
-      "sentinel_quality_tiebreak_total",
-      "equal-dissimilarity tie-break coin flips observed");
+  SENTINEL_CHECK(margin_bounds_.size() < kMaxBuckets &&
+                 dissimilarity_bounds_.size() < kMaxBuckets)
+      << "quality histograms take at most " << kMaxBuckets - 1 << " bounds";
+  const auto adopt = [&](const char* name, const char* help,
+                         Counter* counter) {
+    registry_->AdoptCounter(name, help,
+                            std::shared_ptr<Counter>(totals_, counter));
+  };
+  adopt("sentinel_quality_identifications_total",
+        "verdicts observed by the quality monitor",
+        &totals_->identifications);
+  adopt("sentinel_quality_unknown_total",
+        "verdicts reported as new/unknown device-types", &totals_->unknown);
+  adopt("sentinel_quality_multi_match_total",
+        "verdicts with more than one accepting classifier",
+        &totals_->multi_match);
+  adopt("sentinel_quality_tiebreak_total",
+        "equal-dissimilarity tie-break coin flips observed",
+        &totals_->tiebreaks);
+  registry_->AdoptHistogram(
+      "sentinel_quality_margin", "top-1 vs top-2 accept-probability margin",
+      std::shared_ptr<Histogram>(totals_, &totals_->margin_view));
   assessments_total_ = &registry_->GetCounter(
       "sentinel_quality_assessments_total",
       "gateway assessment outcomes observed");
   assessments_unknown_total_ = &registry_->GetCounter(
       "sentinel_quality_assessments_unknown_total",
       "gateway assessments that isolated an unknown device");
-  margin_all_ = &registry_->GetHistogram(
-      "sentinel_quality_margin", "top-1 vs top-2 accept-probability margin",
-      config_.margin_bounds.empty() ? DefaultMarginBounds()
-                                    : config_.margin_bounds);
 }
 
 void QualityMonitor::BindTypes(const std::vector<int>& labels) {
   MutexLock lock(mutex_);
-  auto next = std::make_unique<Index>();
-  const Index* current = index_.load(std::memory_order_relaxed);
-  if (current != nullptr) *next = *current;
   for (const int label : labels) {
-    if (std::any_of(next->begin(), next->end(),
-                    [&](const auto& entry) { return entry.first == label; }))
-      continue;
-    auto slot = std::make_unique<TypeSlot>();
-    slot->label = label;
+    if (label < 0 || label >= kMaxLabel) continue;  // totals only
+    if (FindSlot(label) != nullptr) continue;        // already bound
+    auto slot = std::shared_ptr<TypeSlot>(
+        new TypeSlot(label, margin_bounds_, dissimilarity_bounds_));
     const std::string tag = "{type=\"" + std::to_string(label) + "\"}";
-    slot->identifications = &registry_->GetCounter(
+    registry_->AdoptCounter(
         "sentinel_quality_identifications_total" + tag,
-        "verdicts observed by the quality monitor");
-    slot->rejected = &registry_->GetCounter(
+        "verdicts observed by the quality monitor",
+        std::shared_ptr<Counter>(slot, &slot->identifications));
+    registry_->AdoptCounter(
         "sentinel_quality_rejected_total" + tag,
-        "probes keyed to a type but still rejected as unknown");
-    slot->tiebreaks = &registry_->GetCounter(
+        "probes keyed to a type but still rejected as unknown",
+        std::shared_ptr<Counter>(slot, &slot->rejected));
+    registry_->AdoptCounter(
         "sentinel_quality_tiebreak_total" + tag,
-        "equal-dissimilarity tie-break coin flips observed");
-    slot->margin = &registry_->GetHistogram(
+        "equal-dissimilarity tie-break coin flips observed",
+        std::shared_ptr<Counter>(slot, &slot->tiebreaks));
+    registry_->AdoptHistogram(
         "sentinel_quality_margin" + tag,
         "top-1 vs top-2 accept-probability margin",
-        config_.margin_bounds.empty() ? DefaultMarginBounds()
-                                      : config_.margin_bounds);
-    slot->dissimilarity = &registry_->GetHistogram(
+        std::shared_ptr<Histogram>(slot, &slot->margin_view));
+    registry_->AdoptHistogram(
         "sentinel_quality_dissimilarity" + tag,
         "winning tie-break dissimilarity score",
-        config_.dissimilarity_bounds.empty() ? DefaultDissimilarityBounds()
-                                             : config_.dissimilarity_bounds);
+        std::shared_ptr<Histogram>(slot, &slot->dissimilarity_view));
     slot->psi_gauge = &registry_->GetGauge(
         "sentinel_quality_psi" + tag,
         "population stability index (max over the margin and dissimilarity "
@@ -127,36 +143,39 @@ void QualityMonitor::BindTypes(const std::vector<int>& labels) {
     // (empty) current state so UpdateDrift treats everything it ever
     // observes as live window.
     if (baseline_pinned_.load(std::memory_order_relaxed)) {
-      slot->baseline_margin = slot->margin->Read();
-      slot->baseline_dissimilarity = slot->dissimilarity->Read();
+      slot->baseline_margin = slot->margin_view.Read();
+      slot->baseline_dissimilarity = slot->dissimilarity_view.Read();
       slot->has_baseline = true;
     }
-    next->emplace_back(label, slot.get());
+    slots_by_label_[label].store(slot.get(), std::memory_order_release);
     slots_.push_back(std::move(slot));
   }
-  std::sort(next->begin(), next->end());
-  const Index* published = next.get();
-  retired_.push_back(std::move(next));
-  index_.store(published, std::memory_order_release);
 }
 
 void QualityMonitor::Record(const QualitySample& sample) {
-  identifications_total_->Increment();
-  if (sample.unknown) unknown_total_->Increment();
-  if (sample.multi_match) multi_match_total_->Increment();
-  if (sample.tie_break_count > 0)
-    tiebreak_total_->Increment(sample.tie_break_count);
   const double margin = sample.top1_probability - sample.top2_probability;
-  margin_all_->Observe(margin);
+  // Both margin channels share the bounds, so one bucket lookup serves
+  // the bank-wide and the per-type histogram.
+  const std::size_t margin_bucket = BucketIndex(margin_bounds_, margin);
+  Totals& totals = *totals_;
+  totals.identifications.Increment();
+  if (sample.unknown) totals.unknown.Increment();
+  if (sample.multi_match) totals.multi_match.Increment();
+  if (sample.tie_break_count > 0)
+    totals.tiebreaks.Increment(sample.tie_break_count);
+  totals.margin.Observe(margin_bucket, margin);
   TypeSlot* slot = FindSlot(sample.top_label);
   if (slot == nullptr) return;
-  slot->identifications->Increment();
-  if (sample.unknown) slot->rejected->Increment();
+  slot->identifications.Increment();
+  if (sample.unknown) slot->rejected.Increment();
   if (sample.tie_break_count > 0)
-    slot->tiebreaks->Increment(sample.tie_break_count);
-  slot->margin->Observe(margin);
-  if (!std::isnan(sample.best_dissimilarity))
-    slot->dissimilarity->Observe(sample.best_dissimilarity);
+    slot->tiebreaks.Increment(sample.tie_break_count);
+  slot->margin.Observe(margin_bucket, margin);
+  if (!std::isnan(sample.best_dissimilarity)) {
+    slot->dissimilarity.Observe(
+        BucketIndex(dissimilarity_bounds_, sample.best_dissimilarity),
+        sample.best_dissimilarity);
+  }
 }
 
 void QualityMonitor::RecordAssessmentOutcome(bool known) {
@@ -167,8 +186,8 @@ void QualityMonitor::RecordAssessmentOutcome(bool known) {
 void QualityMonitor::PinBaseline() {
   MutexLock lock(mutex_);
   for (const auto& slot : slots_) {
-    slot->baseline_margin = slot->margin->Read();
-    slot->baseline_dissimilarity = slot->dissimilarity->Read();
+    slot->baseline_margin = slot->margin_view.Read();
+    slot->baseline_dissimilarity = slot->dissimilarity_view.Read();
     slot->has_baseline = true;
     slot->psi.store(0.0, std::memory_order_relaxed);
     slot->psi_gauge->Set(0.0);
@@ -193,8 +212,8 @@ void QualityMonitor::UpdateDrift() {
                  : ComputePsi(baseline, current, config_.psi_epsilon);
     };
     const double psi =
-        std::max(channel_psi(*slot->margin, slot->baseline_margin),
-                 channel_psi(*slot->dissimilarity,
+        std::max(channel_psi(slot->margin_view, slot->baseline_margin),
+                 channel_psi(slot->dissimilarity_view,
                              slot->baseline_dissimilarity));
     slot->psi.store(psi, std::memory_order_relaxed);
     slot->psi_gauge->Set(psi);
@@ -209,20 +228,21 @@ double QualityMonitor::Psi(int label) const {
 std::string QualityMonitor::RenderJson() const {
   MutexLock lock(mutex_);
   std::string out = "{\n  \"totals\": {";
+  const Totals& totals = *totals_;
   out += "\n    \"identifications\": " +
-         std::to_string(identifications_total_->Value());
-  out += ",\n    \"unknown\": " + std::to_string(unknown_total_->Value());
-  out +=
-      ",\n    \"multi_match\": " + std::to_string(multi_match_total_->Value());
-  out += ",\n    \"tiebreaks\": " + std::to_string(tiebreak_total_->Value());
+         std::to_string(totals.identifications.Value());
+  out += ",\n    \"unknown\": " + std::to_string(totals.unknown.Value());
+  out += ",\n    \"multi_match\": " +
+         std::to_string(totals.multi_match.Value());
+  out += ",\n    \"tiebreaks\": " + std::to_string(totals.tiebreaks.Value());
   out +=
       ",\n    \"assessments\": " + std::to_string(assessments_total_->Value());
   out += ",\n    \"assessments_unknown\": " +
          std::to_string(assessments_unknown_total_->Value());
-  const std::uint64_t total = identifications_total_->Value();
+  const std::uint64_t total = totals.identifications.Value();
   const double unknown_ratio =
       total == 0 ? 0.0
-                 : static_cast<double>(unknown_total_->Value()) /
+                 : static_cast<double>(totals.unknown.Value()) /
                        static_cast<double>(total);
   out += ",\n    \"unknown_ratio\": " + FormatDouble(unknown_ratio);
   out += "\n  },\n  \"baseline_pinned\": ";
@@ -233,12 +253,12 @@ std::string QualityMonitor::RenderJson() const {
     out += first ? "\n    " : ",\n    ";
     first = false;
     AppendJsonEscaped(out, std::to_string(slot->label));
-    const Histogram::Snapshot margin = slot->margin->Read();
-    const Histogram::Snapshot dissimilarity = slot->dissimilarity->Read();
+    const Histogram::Snapshot margin = slot->margin_view.Read();
+    const Histogram::Snapshot dissimilarity = slot->dissimilarity_view.Read();
     out += ": {\"identifications\": " +
-           std::to_string(slot->identifications->Value()) +
-           ", \"rejected\": " + std::to_string(slot->rejected->Value()) +
-           ", \"tiebreaks\": " + std::to_string(slot->tiebreaks->Value()) +
+           std::to_string(slot->identifications.Value()) +
+           ", \"rejected\": " + std::to_string(slot->rejected.Value()) +
+           ", \"tiebreaks\": " + std::to_string(slot->tiebreaks.Value()) +
            ", \"margin_mean\": " + FormatDouble(margin.Mean()) +
            ", \"margin_count\": " + std::to_string(margin.count) +
            ", \"dissimilarity_mean\": " + FormatDouble(dissimilarity.Mean()) +

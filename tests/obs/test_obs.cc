@@ -4,7 +4,10 @@
 // hot path (this test binary is part of the CI sanitizer job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -59,6 +62,76 @@ TEST(HistogramTest, MeanAndStdevDeriveFromSnapshot) {
   const auto snap = h.Read();
   EXPECT_DOUBLE_EQ(snap.Mean(), 5.0);
   EXPECT_NEAR(snap.Stdev(), 2.0, 1e-9);  // population stdev
+}
+
+TEST(HistogramTest, BucketIndexMatchesLowerBound) {
+  const std::vector<double> bounds = {0.5, 1.0, 1.0, 2.5, 10.0};
+  for (const double v : {-1.0, 0.0, 0.5, 0.75, 1.0, 1.5, 2.5, 9.0, 10.0, 11.0,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    const auto expected = static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+    EXPECT_EQ(BucketIndex(bounds, v), expected) << "value " << v;
+  }
+}
+
+// A view over caller-owned cells reads back exactly what an owning
+// histogram fed the same values reports.
+TEST(HistogramTest, ViewOverCallerCellsMatchesOwningHistogram) {
+  const std::vector<double> bounds = {1.0, 2.0, 4.0};
+  // ordering: relaxed — single-threaded test cells.
+  std::atomic<std::uint64_t> buckets[4] = {};
+  std::atomic<double> sum{0.0};
+  std::atomic<double> sum_squares{0.0};
+  const Histogram view(bounds, {buckets, &sum, &sum_squares});
+  Histogram owning(bounds);
+  for (const double v : {0.5, 1.0, 3.0, 3.5, 8.0}) {
+    owning.Observe(v);
+    buckets[BucketIndex(bounds, v)].fetch_add(1, std::memory_order_relaxed);
+    AtomicAdd(sum, v);
+    AtomicAdd(sum_squares, v * v);
+  }
+  const auto want = owning.Read();
+  const auto got = view.Read();
+  EXPECT_EQ(got.count, 5u);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(view.Count(), owning.Count());
+  EXPECT_EQ(got.sum, want.sum);
+  EXPECT_EQ(got.sum_squares, want.sum_squares);
+  EXPECT_EQ(got.buckets, want.buckets);
+}
+
+// Adopted instruments stay readable through the registry after the
+// caller drops its reference, and a taken name cannot be adopted.
+TEST(RegistryTest, AdoptedInstrumentsLiveAsLongAsTheRegistry) {
+  struct Block {
+    Counter events;
+    // ordering: relaxed — single-threaded test cells.
+    std::atomic<std::uint64_t> buckets[3] = {};
+    std::atomic<double> sum{0.0};
+    std::atomic<double> sum_squares{0.0};
+    Histogram view{{1.0, 2.0}, {buckets, &sum, &sum_squares}};
+  };
+  MetricsRegistry registry;
+  {
+    auto block = std::make_shared<Block>();
+    Counter& events = registry.AdoptCounter(
+        "adopted_total", "events", std::shared_ptr<Counter>(block, &block->events));
+    registry.AdoptHistogram("adopted", "values",
+                            std::shared_ptr<Histogram>(block, &block->view));
+    EXPECT_EQ(&events, &block->events);
+    EXPECT_EQ(&registry.GetCounter("adopted_total"), &block->events);
+    block->events.Increment(3);
+    block->view.Observe(1.5);
+  }
+  EXPECT_EQ(registry.GetCounter("adopted_total").Value(), 3u);
+  EXPECT_EQ(registry.GetHistogram("adopted").Read().count, 1u);
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("adopted_total 3"), std::string::npos);
+  EXPECT_DEATH(registry.AdoptCounter("adopted_total", "",
+                                     std::make_shared<Counter>()),
+               "already registered");
 }
 
 TEST(RegistryTest, GetReturnsSameInstanceForSameName) {

@@ -60,6 +60,56 @@ TEST(QualityMonitorTest, RecordsGlobalAndPerTypeCounters) {
       0u);
 }
 
+// Labels the per-type table cannot hold still count toward the totals.
+TEST(QualityMonitorTest, LabelsOutsideTheSlotTableCountOnlyInTotals) {
+  MetricsRegistry registry;
+  QualityMonitor monitor(&registry);
+  monitor.BindTypes({-3, 0, QualityMonitor::kMaxLabel});
+  monitor.Record(Sample(-3, 0.9, 0.1));
+  monitor.Record(Sample(QualityMonitor::kMaxLabel, 0.9, 0.1));
+  monitor.Record(Sample(0, 0.9, 0.1));
+  EXPECT_EQ(registry
+                .GetCounter("sentinel_quality_identifications_total", "")
+                .Value(),
+            3u);
+  EXPECT_EQ(registry.GetHistogram("sentinel_quality_margin", "", {})
+                .Read()
+                .count,
+            3u);
+  EXPECT_EQ(
+      registry
+          .GetCounter("sentinel_quality_identifications_total{type=\"0\"}", "")
+          .Value(),
+      1u);
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_EQ(text.find("type=\"-3\""), std::string::npos);
+  EXPECT_EQ(text.find("type=\"" + std::to_string(QualityMonitor::kMaxLabel)),
+            std::string::npos);
+}
+
+// The registry keeps the monitor's packed cells alive: a scrape after the
+// monitor is gone still reads every series it recorded.
+TEST(QualityMonitorTest, RegistryOutlivesTheMonitor) {
+  MetricsRegistry registry;
+  {
+    QualityMonitor monitor(&registry);
+    monitor.BindTypes({1});
+    monitor.Record(Sample(1, 0.9, 0.1, /*dissimilarity=*/0.7));
+  }
+  EXPECT_EQ(
+      registry
+          .GetCounter("sentinel_quality_identifications_total{type=\"1\"}", "")
+          .Value(),
+      1u);
+  const auto dissimilarity =
+      registry.GetHistogram("sentinel_quality_dissimilarity{type=\"1\"}", "", {})
+          .Read();
+  EXPECT_EQ(dissimilarity.count, 1u);
+  EXPECT_DOUBLE_EQ(dissimilarity.sum, 0.7);
+  EXPECT_NE(registry.RenderPrometheus().find("sentinel_quality_margin_count"),
+            std::string::npos);
+}
+
 TEST(QualityMonitorTest, AssessmentOutcomes) {
   MetricsRegistry registry;
   QualityMonitor monitor(&registry);
