@@ -1,5 +1,5 @@
 // Identification fast-path throughput: reference scan vs the
-// arena-compiled bank, single- and multi-threaded, per-call and batched,
+// compiled forest bank, single- and multi-threaded, per-call and batched,
 // across bank sizes from 8 to 128 device-types. Every fast-path verdict is
 // asserted equal to the reference verdict before anything is timed, so the
 // numbers can only come from an equivalent implementation.
@@ -130,7 +130,6 @@ struct BankNumbers {
   std::size_t probes = 0;
   double reference_1t = 0.0;
   double fast_1t = 0.0;
-  double fast_early_exit_1t = 0.0;
   double fast_8t = 0.0;
   double batch_1t = 0.0;
   double batch_8t = 0.0;
@@ -152,7 +151,7 @@ int main(int argc, char** argv) {
   sentinel::bench::Header(
       "Identification throughput: reference vs compiled fast path",
       "Sect. VII reports identification cost dominated by the classifier "
-      "bank scan; the fast path flattens it into cache-linear arenas");
+      "bank scan; the fast path scores the whole bank in one column scan");
 
   const std::vector<std::size_t> bank_sizes =
       quick ? std::vector<std::size_t>{8, 31}
@@ -170,9 +169,9 @@ int main(int argc, char** argv) {
   sentinel::util::ThreadPool pool(8);
   std::vector<BankNumbers> rows;
 
-  std::printf("%6s %7s %14s %14s %14s %14s %14s %14s %9s\n", "types",
-              "probes", "ref 1t id/s", "fast 1t id/s", "early 1t id/s",
-              "fast 8t id/s", "batch 1t id/s", "batch 8t id/s", "speedup");
+  std::printf("%6s %7s %14s %14s %14s %14s %14s %9s\n", "types", "probes",
+              "ref 1t id/s", "fast 1t id/s", "fast 8t id/s", "batch 1t id/s",
+              "batch 8t id/s", "speedup");
   for (const std::size_t types : bank_sizes) {
     const auto train = Widen(train_base, types);
     const auto probes = Shuffled(Widen(probe_base, types), kProbeOrderSeed);
@@ -200,13 +199,6 @@ int main(int argc, char** argv) {
           identifier.Identify(probes.fingerprints[i], probes.fixed[i]),
           expected[i], "fast");
     }
-    identifier.set_bank_early_exit(true);
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      CheckEquivalent(
-          identifier.Identify(probes.fingerprints[i], probes.fixed[i]),
-          expected[i], "fast+early-exit");
-    }
-    identifier.set_bank_early_exit(false);
     {
       const auto batch = identifier.IdentifyBatch(refs);
       for (std::size_t i = 0; i < probes.size(); ++i)
@@ -226,19 +218,16 @@ int main(int argc, char** argv) {
     row.reference_1t = MeasureIps(reps, probes.size(), run_per_call);
     identifier.set_fast_path(true);
     row.fast_1t = MeasureIps(reps, probes.size(), run_per_call);
-    identifier.set_bank_early_exit(true);
-    row.fast_early_exit_1t = MeasureIps(reps, probes.size(), run_per_call);
-    identifier.set_bank_early_exit(false);
     row.batch_1t = MeasureIps(reps, probes.size(), run_batch);
     identifier.set_thread_pool(&pool);
     row.fast_8t = MeasureIps(reps, probes.size(), run_per_call);
     row.batch_8t = MeasureIps(reps, probes.size(), run_batch);
     identifier.set_thread_pool(nullptr);
 
-    std::printf("%6zu %7zu %14.0f %14.0f %14.0f %14.0f %14.0f %14.0f %8.2fx\n",
+    std::printf("%6zu %7zu %14.0f %14.0f %14.0f %14.0f %14.0f %8.2fx\n",
                 row.types, row.probes, row.reference_1t, row.fast_1t,
-                row.fast_early_exit_1t, row.fast_8t, row.batch_1t,
-                row.batch_8t, row.fast_1t / row.reference_1t);
+                row.fast_8t, row.batch_1t, row.batch_8t,
+                row.fast_1t / row.reference_1t);
     rows.push_back(row);
   }
 
@@ -457,12 +446,11 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           "    {\"types\": %zu, \"probes\": %zu, \"reference_1t\": %.1f, "
-          "\"fast_1t\": %.1f, \"fast_early_exit_1t\": %.1f, "
-          "\"fast_8t\": %.1f, \"batch_1t\": %.1f, \"batch_8t\": %.1f, "
-          "\"speedup_fast_1t\": %.2f}%s\n",
-          row.types, row.probes, row.reference_1t, row.fast_1t,
-          row.fast_early_exit_1t, row.fast_8t, row.batch_1t, row.batch_8t,
-          row.fast_1t / row.reference_1t, r + 1 < rows.size() ? "," : "");
+          "\"fast_1t\": %.1f, \"fast_8t\": %.1f, \"batch_1t\": %.1f, "
+          "\"batch_8t\": %.1f, \"speedup_fast_1t\": %.2f}%s\n",
+          row.types, row.probes, row.reference_1t, row.fast_1t, row.fast_8t,
+          row.batch_1t, row.batch_8t, row.fast_1t / row.reference_1t,
+          r + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(

@@ -6,6 +6,7 @@
 //     -> <out_root>/packet_features/* seeds for fuzz_packet_features
 //     -> <out_root>/fingerprint_codec/* seeds for fuzz_fingerprint_codec
 //     -> <out_root>/vulnerability_db/* seeds for fuzz_vulnerability_db
+//     -> <out_root>/model_load/*       seeds for fuzz_model_load
 //
 // The seeds are checked in under fuzz/corpus/ so fuzz runs start from
 // structurally valid inputs (plus a few near-valid negatives); regenerate
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "capture/trace.h"
+#include "core/device_identifier.h"
 #include "core/vulnerability_db.h"
 #include "features/fingerprint.h"
 #include "features/fingerprint_codec.h"
@@ -137,6 +139,42 @@ void EmitFeedSeeds(const fs::path& dir) {
                              "numeric\n"));
 }
 
+/// A small trained model bundle: three types of three fingerprints each
+/// (the setup-phase capture with packet sizes shifted per type), three
+/// trees per forest — every section of the format, in a few kilobytes.
+void EmitModelSeeds(const fs::path& dir) {
+  std::vector<net::ParsedPacket> packets;
+  for (const auto& frame : SetupPhaseFrames())
+    packets.push_back(net::ParseFrame(frame));
+  const auto base = features::Fingerprint::FromPackets(packets);
+  std::vector<features::Fingerprint> full;
+  std::vector<int> labels;
+  for (int label = 0; label < 3; ++label) {
+    for (std::uint32_t copy = 0; copy < 3; ++copy) {
+      auto vectors = base.packets();
+      for (auto& vector : vectors)
+        vector[features::kFeatPacketSize] +=
+            static_cast<std::uint32_t>(label) * 400 + copy;
+      full.push_back(features::Fingerprint::FromPacketVectors(vectors));
+      labels.push_back(label);
+    }
+  }
+  std::vector<features::FixedFingerprint> fixed;
+  for (const auto& fingerprint : full)
+    fixed.push_back(features::FixedFingerprint::FromFingerprint(fingerprint));
+  std::vector<core::LabelledFingerprint> examples;
+  for (std::size_t i = 0; i < full.size(); ++i)
+    examples.push_back({&full[i], &fixed[i], labels[i]});
+
+  core::IdentifierConfig config;
+  config.forest.tree_count = 3;
+  core::DeviceIdentifier identifier(config);
+  identifier.Train(examples);
+  net::ByteWriter w;
+  identifier.Save(w);
+  WriteSeed(dir, "small_model.bin", w.bytes());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,5 +184,6 @@ int main(int argc, char** argv) {
   EmitPacketFeatureSeeds(root / "packet_features");
   EmitFingerprintSeeds(root / "fingerprint_codec");
   EmitFeedSeeds(root / "vulnerability_db");
+  EmitModelSeeds(root / "model_load");
   return 0;
 }

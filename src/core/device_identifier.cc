@@ -73,10 +73,6 @@ void DeviceIdentifier::set_metrics(obs::MetricsRegistry* registry) {
       "sentinel_identifier_editdist_pruned_total",
       "edit-distance computations skipped because the candidate provably "
       "could not beat the best tie-break score");
-  handles_.bank_early_exit = &registry->GetCounter(
-      "sentinel_bank_early_exit_total",
-      "bank-scan classifier evaluations that stopped early because the "
-      "remaining trees' probability bounds had decided the verdict");
   handles_.types = &registry->GetGauge(
       "sentinel_identifier_types", "device-types in the trained bank");
   handles_.types->Set(static_cast<double>(types_.size()));
@@ -87,31 +83,18 @@ void DeviceIdentifier::set_quality_monitor(obs::QualityMonitor* monitor) {
   if (quality_ != nullptr && !labels_.empty()) quality_->BindTypes(labels_);
 }
 
-void DeviceIdentifier::RecordQuality(const IdentificationResult& result) const {
+void DeviceIdentifier::RecordQuality(
+    const IdentificationResult& result,
+    const ml::ForestBank::Leaders& leaders) const {
   if (quality_ == nullptr) return;
   obs::QualitySample sample;
-  // First-max scan keeps the top-1/top-2 pick deterministic under equal
-  // probabilities. The top label is only read when the verdict has none.
-  const std::size_t bank = result.bank_probabilities.size();
-  double top1 = 0.0;
-  double top2 = 0.0;
-  std::size_t top = 0;
-  for (std::size_t k = 0; k < bank; ++k) {
-    const double p = result.bank_probabilities[k];
-    if (k == 0 || p > top1) {
-      top2 = top1;
-      top1 = p;
-      top = k;
-    } else if (p > top2) {
-      top2 = p;
-    }
-  }
+  // The top label is only read when the verdict has none.
   if (result.type.has_value())
     sample.top_label = *result.type;
-  else if (bank > 0)
-    sample.top_label = result.bank_labels[top];
-  sample.top1_probability = top1;
-  sample.top2_probability = top2;
+  else if (!result.bank_labels.empty())
+    sample.top_label = result.bank_labels[leaders.first];
+  sample.top1_probability = leaders.first_probability;
+  sample.top2_probability = leaders.second_probability;
   sample.unknown = !result.IsKnown();
   sample.multi_match = result.matched_types.size() > 1;
   sample.tie_break_count = result.tie_break_count;
@@ -153,7 +136,19 @@ void DeviceIdentifier::TrainOne(
   entry.references.clear();
   entry.references.reserve(positives.size());
   for (const auto& example : positives) entry.references.push_back(*example.full);
-  entry.flat = ml::FlatForest::Compile(entry.classifier);
+}
+
+void DeviceIdentifier::Compile() {
+  label_index_.clear();
+  label_index_.reserve(types_.size());
+  std::vector<const ml::RandomForest*> forests;
+  forests.reserve(types_.size());
+  for (std::size_t k = 0; k < types_.size(); ++k) {
+    label_index_.emplace(types_[k].label, k);
+    forests.push_back(&types_[k].classifier);
+  }
+  bank_ = ml::ForestBank::Compile(forests);
+  CompileTieBreakIndex();
 }
 
 void DeviceIdentifier::CompileTieBreakIndex() {
@@ -242,20 +237,12 @@ void DeviceIdentifier::Train(const std::vector<LabelledFingerprint>& examples) {
     types_[j] = std::move(entry);
   });
   labels_ = std::move(ordered_labels);
-  RebuildLabelIndex();
-  CompileTieBreakIndex();
+  Compile();
   if (handles_.types != nullptr)
     handles_.types->Set(static_cast<double>(types_.size()));
   if (quality_ != nullptr) quality_->BindTypes(labels_);
   SENTINEL_LOG_INFO("identifier", "bank_trained", {"types", types_.size()},
                     {"examples", examples.size()});
-}
-
-void DeviceIdentifier::RebuildLabelIndex() {
-  label_index_.clear();
-  label_index_.reserve(types_.size());
-  for (std::size_t k = 0; k < types_.size(); ++k)
-    label_index_.emplace(types_[k].label, k);
 }
 
 void DeviceIdentifier::AddType(
@@ -281,8 +268,7 @@ void DeviceIdentifier::AddType(
            static_cast<std::uint64_t>(label) + 1);
   types_.push_back(std::move(entry));
   labels_.push_back(label);
-  RebuildLabelIndex();
-  CompileTieBreakIndex();
+  Compile();
   if (handles_.types != nullptr)
     handles_.types->Set(static_cast<double>(types_.size()));
   if (quality_ != nullptr) quality_->BindTypes(labels_);
@@ -293,9 +279,9 @@ void DeviceIdentifier::AddType(
 IdentificationResult DeviceIdentifier::Identify(
     const features::Fingerprint& full,
     const features::FixedFingerprint& fixed) const {
-  IdentificationResult result = fast_path_ ? IdentifyFast(full, fixed)
-                                           : IdentifyReference(full, fixed);
-  RecordQuality(result);
+  if (fast_path_) return IdentifyFast(full, fixed);
+  IdentificationResult result = IdentifyReference(full, fixed);
+  RecordQuality(result, ml::ForestBank::LeadersOf(result.bank_probabilities));
   return result;
 }
 
@@ -447,62 +433,34 @@ IdentificationResult DeviceIdentifier::IdentifyReference(
   return result;
 }
 
-void DeviceIdentifier::ScanBankFast(std::span<const double> row,
-                                    IdentificationResult& result) const {
-  result.bank_probabilities.assign(types_.size(), 0.0);
-  result.bank_labels.reserve(types_.size());
-  // A single-probe scan is a few microseconds of work per type; waking
-  // pool workers for per-index claims costs more than it saves at every
-  // bank size the throughput bench measures (8-128 types), so the
-  // per-call scan stays on the calling thread. Parallel identification
-  // throughput comes from IdentifyBatch (one pooled sweep over many
-  // probes) or from callers running concurrent Identify() calls — the
-  // method is const and thread-safe.
-  util::ThreadPool* const scan_pool = nullptr;
-  if (bank_early_exit_) {
-    std::vector<std::uint8_t> accepted(types_.size(), 0);
-    std::vector<std::uint8_t> exited(types_.size(), 0);
-    util::ParallelFor(scan_pool, types_.size(), [&](std::size_t k) {
-      const auto verdict = types_[k].flat.PositiveProbaThreshold(
-          row, config_.acceptance_threshold);
-      result.bank_probabilities[k] = verdict.probability;
-      accepted[k] = verdict.accepted ? 1 : 0;
-      exited[k] = verdict.early_exit ? 1 : 0;
-    });
-    std::uint64_t early_exits = 0;
-    for (std::size_t k = 0; k < types_.size(); ++k) {
-      result.bank_labels.push_back(types_[k].label);
-      if (accepted[k] != 0) result.matched_types.push_back(types_[k].label);
-      early_exits += exited[k];
-    }
-    if (handles_.bank_early_exit != nullptr && early_exits > 0)
-      handles_.bank_early_exit->Increment(early_exits);
-    return;
-  }
-  util::ParallelFor(scan_pool, types_.size(), [&](std::size_t k) {
-    result.bank_probabilities[k] = types_[k].flat.PositiveProba(row);
-  });
+ml::ForestBank::Leaders DeviceIdentifier::ScanBank(
+    std::span<const double> row, IdentificationResult& result) const {
+  result.bank_probabilities.resize(types_.size());
+  const auto leaders = bank_.PositiveProba(row, result.bank_probabilities);
+  result.bank_labels = labels_;
   for (std::size_t k = 0; k < types_.size(); ++k) {
-    result.bank_labels.push_back(types_[k].label);
     if (result.bank_probabilities[k] >= config_.acceptance_threshold)
-      result.matched_types.push_back(types_[k].label);
+      result.matched_types.push_back(labels_[k]);
   }
+  return leaders;
 }
 
 IdentificationResult DeviceIdentifier::IdentifyFast(
     const features::Fingerprint& full,
     const features::FixedFingerprint& fixed) const {
-  SENTINEL_PROFILE_SCOPE("identify.fast");
+  // The stage clock reads also bound the profiler frame, so an attached
+  // profiler adds no clock reads of its own.
+  auto now = Clock::now();
+  obs::ProfileScope profile("identify.fast", now);
   IdentificationResult result;
   result.acceptance_threshold = config_.acceptance_threshold;
+  obs::ScopedSpan bank_span("sentinel_identifier_bank_scan");
   // F' is already a contiguous double array — the compiled bank consumes
   // it in place, with no per-probe ToVector() allocation.
-  const std::span<const double> row(fixed.values());
-
-  obs::ScopedSpan bank_span("sentinel_identifier_bank_scan");
-  const auto t0 = Clock::now();
-  ScanBankFast(row, result);
-  result.classification_time = Clock::now() - t0;
+  const auto leaders = ScanBank(fixed.values(), result);
+  const auto scanned = Clock::now();
+  result.classification_time = scanned - now;
+  now = scanned;
   if (bank_span.enabled()) {
     bank_span.AddArg("types", std::to_string(types_.size()));
     bank_span.AddArg("matches", std::to_string(result.matched_types.size()));
@@ -517,14 +475,15 @@ IdentificationResult DeviceIdentifier::IdentifyFast(
       handles_.multi_match_total->Increment();
   }
 
-  if (result.matched_types.empty()) {
+  if (result.matched_types.empty()) {  // unknown device-type
     if (handles_.unknown_total != nullptr) handles_.unknown_total->Increment();
     SENTINEL_LOG_DEBUG("identifier", "identified", {"outcome", "unknown"},
                        {"matches", std::size_t{0}});
-    return result;  // unknown device-type
+  } else {
+    now = DiscriminateTimed(full, result, now);
   }
-
-  DiscriminateTimed(full, result);
+  profile.Close(now);
+  RecordQuality(result, leaders);
   return result;
 }
 
@@ -532,96 +491,27 @@ std::vector<IdentificationResult> DeviceIdentifier::IdentifyBatch(
     std::span<const FingerprintRef> probes) const {
   SENTINEL_PROFILE_SCOPE("identify.batch");
   std::vector<IdentificationResult> results(probes.size());
-  if (probes.empty()) return results;
-  if (!fast_path_) {
-    for (std::size_t r = 0; r < probes.size(); ++r) {
-      results[r] = IdentifyReference(*probes[r].full, *probes[r].fixed);
-      RecordQuality(results[r]);
-    }
-    return results;
-  }
-
-  // One bank sweep over all probes: per type, a single batched pass whose
-  // tree arena stays cache-hot across the whole probe matrix.
-  const std::size_t rows = probes.size();
-  std::vector<double> matrix(rows * features::kFPrimeDim);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto& values = probes[r].fixed->values();
-    std::copy(values.begin(), values.end(),
-              matrix.begin() +
-                  static_cast<std::ptrdiff_t>(r * features::kFPrimeDim));
-  }
-  obs::ScopedSpan bank_span("sentinel_identifier_bank_scan");
-  const auto t0 = Clock::now();
-  std::vector<double> proba(types_.size() * rows, 0.0);
-  // Work grain: a dispatched task should scan at least ~2k probe rows —
-  // below that, pool dispatch costs more than the scan itself (small banks
-  // with few probes used to lose throughput going 1t -> 8t). Each index
-  // scans `rows` probes, so the grain is expressed in types-per-task.
-  constexpr std::size_t kMinScanEvalsPerTask = 2048;
-  const std::size_t scan_grain =
-      std::max<std::size_t>(1, kMinScanEvalsPerTask / std::max<std::size_t>(rows, 1));
-  util::ParallelFor(
-      pool_, types_.size(),
-      [&](std::size_t k) {
-        types_[k].flat.PositiveProbaBatch(
-            matrix, features::kFPrimeDim,
-            std::span<double>(proba).subspan(k * rows, rows));
-      },
-      scan_grain);
-  const auto scan_time = Clock::now() - t0;
-  if (bank_span.enabled()) {
-    bank_span.AddArg("types", std::to_string(types_.size()));
-    bank_span.AddArg("probes", std::to_string(rows));
-  }
-  bank_span.End();
-  const auto scan_share =
-      std::chrono::nanoseconds(scan_time.count() / static_cast<long>(rows));
-
-  // Stage 2 is independent per probe (each draws its picks and coins from
-  // its own probe-hash-seeded RNG), so probes discriminate in parallel;
-  // metrics handles are atomic. Chunks of 16 probes amortize dispatch —
-  // small batches run sequentially on the caller.
+  // Probes are independent (each draws its picks and coins from its own
+  // probe-hash-seeded RNG; metrics handles are atomic), so they identify
+  // in parallel. Chunks of 16 probes amortize dispatch — small batches
+  // run sequentially on the caller.
   constexpr std::size_t kMinRowsPerTask = 16;
-  util::ParallelFor(pool_, rows, [&](std::size_t r) {
-    IdentificationResult& result = results[r];
-    result.acceptance_threshold = config_.acceptance_threshold;
-    result.bank_probabilities.resize(types_.size());
-    result.bank_labels.reserve(types_.size());
-    for (std::size_t k = 0; k < types_.size(); ++k) {
-      const double p = proba[k * rows + r];
-      result.bank_probabilities[k] = p;
-      result.bank_labels.push_back(types_[k].label);
-      if (p >= config_.acceptance_threshold)
-        result.matched_types.push_back(types_[k].label);
-    }
-    result.classification_time = scan_share;
-    if (handles_.identify_total != nullptr) {
-      handles_.identify_total->Increment();
-      handles_.accepts_total->Increment(result.matched_types.size());
-      handles_.classification_ns->Observe(
-          static_cast<double>(result.classification_time.count()));
-      if (result.matched_types.size() > 1)
-        handles_.multi_match_total->Increment();
-    }
-    if (result.matched_types.empty()) {
-      if (handles_.unknown_total != nullptr)
-        handles_.unknown_total->Increment();
-      RecordQuality(result);
-      return;
-    }
-    DiscriminateTimed(*probes[r].full, result);
-    RecordQuality(result);
-  }, kMinRowsPerTask);
+  util::ParallelFor(
+      pool_, probes.size(),
+      [&](std::size_t r) {
+        results[r] = Identify(*probes[r].full, *probes[r].fixed);
+      },
+      kMinRowsPerTask);
   return results;
 }
 
-void DeviceIdentifier::DiscriminateTimed(const features::Fingerprint& full,
-                                         IdentificationResult& result) const {
+Clock::time_point DeviceIdentifier::DiscriminateTimed(
+    const features::Fingerprint& full, IdentificationResult& result,
+    Clock::time_point start) const {
   obs::ScopedSpan tiebreak_span("sentinel_stage_tie_break");
-  const auto t0 = Clock::now();
   const std::size_t pruned_references = Discriminate(full, result);
-  result.discrimination_time = Clock::now() - t0;
+  const auto end = Clock::now();
+  result.discrimination_time = end - start;
   if (tiebreak_span.enabled()) {
     tiebreak_span.AddArg("candidates",
                          std::to_string(result.matched_types.size()));
@@ -637,6 +527,7 @@ void DeviceIdentifier::DiscriminateTimed(const features::Fingerprint& full,
     handles_.discrimination_ns->Observe(
         static_cast<double>(result.discrimination_time.count()));
   }
+  return end;
 }
 
 std::size_t DeviceIdentifier::Discriminate(const features::Fingerprint& full,
@@ -803,64 +694,28 @@ std::vector<IdentificationResult> DeviceIdentifier::IdentifyBatchServe(
   std::vector<IdentificationResult> results(rows);
   if (rows == 0) return results;
   if (!fast_path_) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      results[r] = IdentifyReference(*probes[r].full, *probes[r].fixed);
-      RecordQuality(results[r]);
-    }
+    for (std::size_t r = 0; r < rows; ++r)
+      results[r] = Identify(*probes[r].full, *probes[r].fixed);
     return results;
   }
 
-  // Row-major F' matrix, same layout as IdentifyBatch.
-  std::vector<double> matrix(rows * features::kFPrimeDim);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto& values = probes[r].fixed->values();
-    std::copy(values.begin(), values.end(),
-              matrix.begin() +
-                  static_cast<std::ptrdiff_t>(r * features::kFPrimeDim));
-  }
-
-  // Stage 1: type-outer threshold sweep — one arena stays cache-hot
-  // across the whole probe matrix while each row's scan still stops as
-  // soon as the certified tree-suffix bounds decide its verdict. The
-  // accept set is exact; recorded probabilities are bounds on early exit.
-  for (std::size_t r = 0; r < rows; ++r) {
-    results[r].acceptance_threshold = config_.acceptance_threshold;
-    results[r].bank_probabilities.resize(types_.size());
-    results[r].bank_labels.reserve(types_.size());
-  }
-  const std::span<const double> flat_matrix(matrix);
-  std::uint64_t early_exits = 0;
-  for (std::size_t k = 0; k < types_.size(); ++k) {
-    const PerType& entry = types_[k];
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto verdict = entry.flat.PositiveProbaThreshold(
-          flat_matrix.subspan(r * features::kFPrimeDim,
-                              features::kFPrimeDim),
-          config_.acceptance_threshold);
-      results[r].bank_probabilities[k] = verdict.probability;
-      results[r].bank_labels.push_back(entry.label);
-      if (verdict.accepted) results[r].matched_types.push_back(entry.label);
-      if (verdict.early_exit) ++early_exits;
-    }
-  }
-  if (handles_.bank_early_exit != nullptr && early_exits > 0)
-    handles_.bank_early_exit->Increment(early_exits);
-
-  // Stage 2: sequential per probe on the calling serving thread.
+  // Sequential per probe on the calling serving thread: the same bank scan
+  // and tie-break kernel as Identify(), without the clock reads.
   std::uint64_t accepts = 0;
   std::uint64_t multi = 0;
   std::uint64_t unknown = 0;
   for (std::size_t r = 0; r < rows; ++r) {
     IdentificationResult& result = results[r];
+    result.acceptance_threshold = config_.acceptance_threshold;
+    const auto leaders = ScanBank(probes[r].fixed->values(), result);
     accepts += result.matched_types.size();
     if (result.matched_types.size() > 1) ++multi;
     if (result.matched_types.empty()) {
       ++unknown;
-      RecordQuality(result);
-      continue;
+    } else {
+      Discriminate(*probes[r].full, result);
     }
-    Discriminate(*probes[r].full, result);
-    RecordQuality(result);
+    RecordQuality(result, leaders);
   }
   if (handles_.identify_total != nullptr) {
     handles_.identify_total->Increment(rows);
@@ -905,22 +760,25 @@ DeviceIdentifier DeviceIdentifier::Load(net::ByteReader& r) {
   config.rejection_distance = static_cast<double>(r.ReadU64()) / 1e9;
   config.seed = r.ReadU64();
   DeviceIdentifier identifier(config);
-  const std::uint32_t type_count = r.ReadU32();
+  // Smallest saved type: label, forest framing, one smallest tree and the
+  // reference count; smallest fingerprint: magic, version and its count.
+  constexpr std::size_t kMinTypeBytes =
+      4 + 11 + ml::DecisionTree::kMinSavedBytes + 4;
+  constexpr std::size_t kMinFingerprintBytes = 6;
+  const std::uint32_t type_count = r.ReadCount(kMinTypeBytes);
   identifier.types_.reserve(type_count);
   for (std::uint32_t t = 0; t < type_count; ++t) {
     PerType entry;
     entry.label = static_cast<int>(r.ReadU32());
-    entry.classifier = ml::RandomForest::Load(r);
-    const std::uint32_t reference_count = r.ReadU32();
+    entry.classifier = ml::RandomForest::Load(r, features::kFPrimeDim);
+    const std::uint32_t reference_count = r.ReadCount(kMinFingerprintBytes);
     entry.references.reserve(reference_count);
     for (std::uint32_t i = 0; i < reference_count; ++i)
       entry.references.push_back(features::DecodeFingerprint(r));
-    entry.flat = ml::FlatForest::Compile(entry.classifier);
     identifier.labels_.push_back(entry.label);
     identifier.types_.push_back(std::move(entry));
   }
-  identifier.RebuildLabelIndex();
-  identifier.CompileTieBreakIndex();
+  identifier.Compile();
   return identifier;
 }
 
@@ -968,11 +826,11 @@ std::size_t DeviceIdentifier::MemoryBytes() const {
   std::size_t total = sizeof(*this) + labels_.capacity() * sizeof(int);
   for (const auto& entry : types_) {
     total += entry.classifier.MemoryBytes();
-    total += entry.flat.MemoryBytes();
     for (const auto& reference : entry.references) {
       total += reference.size() * sizeof(features::PacketFeatureVector);
     }
   }
+  total += bank_.MemoryBytes();
   total += tie_break_.table.MemoryBytes();
   for (const auto& per_type : tie_break_.reference_ids)
     for (const auto& ids : per_type)

@@ -19,7 +19,7 @@
 
 #include "features/edit_distance.h"
 #include "features/fingerprint.h"
-#include "ml/flat_forest.h"
+#include "ml/forest_bank.h"
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
@@ -95,9 +95,11 @@ class DeviceIdentifier {
 
   /// Opts this identifier into parallel execution: Train() spreads the
   /// per-type classifiers (and each classifier's trees) over the pool, and
-  /// Identify() parallelizes the classifier-bank scan plus the per-candidate
-  /// edit-distance computations. nullptr (the default) is fully sequential.
-  /// Results are identical either way — parallel sections only fill
+  /// IdentifyBatch() spreads its probes. Per-call Identify() and
+  /// IdentifyBatchServe() stay on the calling thread; only
+  /// IdentifyReference() parallelizes its bank scan and edit distances.
+  /// nullptr (the default) is fully sequential. Results are identical
+  /// either way — parallel sections only fill
   /// per-index slots that are merged in deterministic order — so callers can
   /// flip this on without changing any output. The pool is runtime wiring,
   /// not model state: it is never serialized and a Load()ed identifier
@@ -141,8 +143,8 @@ class DeviceIdentifier {
   void AddType(int label, const std::vector<LabelledFingerprint>& examples,
                const std::vector<LabelledFingerprint>& negatives);
 
-  /// Routes Identify() through the compiled fast path (arena-flattened
-  /// classifier bank + the pruned edit-distance tie-break kernel, the
+  /// Routes Identify() through the compiled fast path (the bank-wide
+  /// ForestBank scan + the pruned edit-distance tie-break kernel, the
   /// default) or the reference implementation. Verdicts, bank
   /// probabilities, matched-type lists, tie_break_count and the winning
   /// dissimilarity score are bit-identical either way (differentially
@@ -151,16 +153,6 @@ class DeviceIdentifier {
   /// finishing the computation), along with edit_distance_count.
   void set_fast_path(bool on) { fast_path_ = on; }
   [[nodiscard]] bool fast_path() const { return fast_path_; }
-
-  /// Opt-in stage-1 early exit: stop scanning a classifier's trees once
-  /// the accept/reject verdict is certain from the remaining trees'
-  /// probability bounds. Verdicts (and therefore identifications) stay
-  /// exact, but the recorded bank_probabilities become certified bounds
-  /// rather than exact probabilities whenever a scan exits early — hence
-  /// off by default, where recorded probabilities are bit-identical to
-  /// the reference. Only affects the fast path.
-  void set_bank_early_exit(bool on) { bank_early_exit_ = on; }
-  [[nodiscard]] bool bank_early_exit() const { return bank_early_exit_; }
 
   /// Identifies one fingerprint (through the fast path unless
   /// set_fast_path(false)).
@@ -182,30 +174,22 @@ class DeviceIdentifier {
     const features::FixedFingerprint* fixed = nullptr;
   };
 
-  /// Batched identification: scans the whole bank over a row-major matrix
-  /// of all probes' F' vectors (one PositiveProbaBatch sweep per type, the
-  /// arena staying cache-hot across probes), then discriminates the probes
-  /// in parallel on the thread pool. Each result is bit-identical to the
-  /// corresponding per-call Identify() on the default fast path — every
-  /// probe derives its reference picks and tie-break coins from its own
-  /// probe-hash-seeded RNG stream, so batching cannot reorder them. The
-  /// batch always uses the exact batched scan (bank_early_exit does not
-  /// apply). classification_time is reported as the probe's even share of
-  /// the one batched scan.
+  /// Batched identification: one pass per probe over the thread pool, each
+  /// a per-call Identify() (bank scan, then tie-break) on the probe's F'
+  /// in place. Each result is bit-identical to the corresponding per-call
+  /// Identify() — every probe derives its reference picks and tie-break
+  /// coins from its own probe-hash-seeded RNG stream, so batching cannot
+  /// reorder them.
   [[nodiscard]] std::vector<IdentificationResult> IdentifyBatch(
       std::span<const FingerprintRef> probes) const;
 
   /// Serving-grade batch identification: the kernel behind the always-on
-  /// server's micro-batched drain. Stage 2 is the same tie-break kernel
-  /// Identify()/IdentifyBatch() run, so type, matched_types,
-  /// tie_break_count, dissimilarity_scores and edit_distance_count match
-  /// them on the default fast path; the stage-1 accept test is exact too
-  /// (threshold early exit decides the same verdict from certified
-  /// tree-suffix bounds). Provenance differs in grade, not meaning:
-  /// bank_probabilities are certified bounds when a scan exits early (as
-  /// with set_bank_early_exit), and the per-stage timings are zero — the
-  /// serving loop takes no per-probe clock reads. Runs sequentially on the
-  /// calling thread, never touching the thread pool.
+  /// server's micro-batched drain. Stages 1 and 2 are the same bank scan
+  /// and tie-break kernel Identify()/IdentifyBatch() run, so every result
+  /// field, bank_probabilities included, matches them on the default fast
+  /// path — except the per-stage timings, which are zero: the serving loop
+  /// takes no per-probe clock reads. Runs sequentially on the calling
+  /// thread, never touching the thread pool.
   [[nodiscard]] std::vector<IdentificationResult> IdentifyBatchServe(
       std::span<const FingerprintRef> probes) const;
 
@@ -229,10 +213,6 @@ class DeviceIdentifier {
   struct PerType {
     int label = 0;
     ml::RandomForest classifier;
-    /// Arena-compiled form of `classifier`, rebuilt after every Train /
-    /// AddType / Load (never serialized — Save() bytes are untouched by
-    /// compilation).
-    ml::FlatForest flat;
     /// Training fingerprints retained as discrimination references.
     std::vector<features::Fingerprint> references;
   };
@@ -257,8 +237,10 @@ class DeviceIdentifier {
         reference_bags;
   };
 
-  /// Rebuilds tie_break_ from types_. Called (sequentially) after Train /
-  /// AddType / Load, alongside RebuildLabelIndex.
+  /// Rebuilds the runtime indexes from types_ — label_index_, bank_ and
+  /// tie_break_ — after every Train / AddType / Load. Never serialized, so
+  /// Save() bytes are untouched by compilation.
+  void Compile();
   void CompileTieBreakIndex();
 
   /// Trains one per-type binary classifier. Rows are the pre-flattened F'
@@ -284,14 +266,14 @@ class DeviceIdentifier {
     obs::Counter* edit_distance_total = nullptr;
     obs::Counter* tiebreak_total = nullptr;
     obs::Counter* editdist_pruned = nullptr;
-    obs::Counter* bank_early_exit = nullptr;
     obs::Gauge* types = nullptr;
   };
 
   /// Fast-path stage 1 for one probe: fills bank_labels /
-  /// bank_probabilities / matched_types via the compiled bank.
-  void ScanBankFast(std::span<const double> row,
-                    IdentificationResult& result) const;
+  /// bank_probabilities / matched_types from one bank_ scan of `row` and
+  /// returns the scan's leaders. Takes no clock reads or spans.
+  ml::ForestBank::Leaders ScanBank(std::span<const double> row,
+                                   IdentificationResult& result) const;
   [[nodiscard]] IdentificationResult IdentifyFast(
       const features::Fingerprint& full,
       const features::FixedFingerprint& fixed) const;
@@ -307,22 +289,24 @@ class DeviceIdentifier {
   std::size_t Discriminate(const features::Fingerprint& full,
                            IdentificationResult& result) const;
   /// Discriminate() plus the stage timing the per-call and batch paths
-  /// report: discrimination_time, the sentinel_stage_tie_break span and
-  /// the discrimination-latency histogram.
-  void DiscriminateTimed(const features::Fingerprint& full,
-                         IdentificationResult& result) const;
+  /// report: discrimination_time since `start` (the caller's last clock
+  /// read), the sentinel_stage_tie_break span and the
+  /// discrimination-latency histogram. Returns its closing clock read.
+  std::chrono::steady_clock::time_point DiscriminateTimed(
+      const features::Fingerprint& full, IdentificationResult& result,
+      std::chrono::steady_clock::time_point start) const;
 
-  /// Reduces a finished result to a QualitySample and records it on the
-  /// attached monitor (single branch when detached). Read-only: never
-  /// mutates the result or feeds back into identification.
-  void RecordQuality(const IdentificationResult& result) const;
-
-  /// Rebuilds label_index_ from types_; called after Train / AddType /
-  /// Load (runtime acceleration only, never serialized).
-  void RebuildLabelIndex();
+  /// Reduces a finished result and its bank's leaders to a QualitySample
+  /// and records it on the attached monitor (single branch when
+  /// detached). Read-only: never mutates the result or feeds back into
+  /// identification.
+  void RecordQuality(const IdentificationResult& result,
+                     const ml::ForestBank::Leaders& leaders) const;
 
   IdentifierConfig config_;
   std::vector<PerType> types_;
+  /// Every type's classifier compiled into one scorer, in types_ order.
+  ml::ForestBank bank_;
   TieBreakIndex tie_break_;
   std::vector<int> labels_;
   /// label -> index into types_, so discrimination resolves a candidate
@@ -333,7 +317,6 @@ class DeviceIdentifier {
   obs::QualityMonitor* quality_ = nullptr;
   IdentifierMetrics handles_;
   bool fast_path_ = true;
-  bool bank_early_exit_ = false;
 };
 
 }  // namespace sentinel::core

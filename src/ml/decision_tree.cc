@@ -294,7 +294,8 @@ void DecisionTree::Save(net::ByteWriter& w) const {
   for (const double p : leaf_probas_) WriteDouble(w, p);
 }
 
-DecisionTree DecisionTree::Load(net::ByteReader& r) {
+DecisionTree DecisionTree::Load(net::ByteReader& r,
+                                std::size_t feature_count) {
   if (r.ReadU8() != 'D' || r.ReadU8() != 'T')
     throw net::CodecError("not a serialized decision tree");
   if (r.ReadU8() != kTreeVersion)
@@ -305,7 +306,9 @@ DecisionTree DecisionTree::Load(net::ByteReader& r) {
     throw net::CodecError("decision tree: invalid class count " +
                           std::to_string(tree.class_count_));
   tree.depth_ = r.ReadU32();
-  const std::uint32_t node_count = r.ReadU32();
+  constexpr std::size_t kNodeBytes = 28;
+  const std::uint32_t node_count = r.ReadCount(kNodeBytes);
+  if (node_count == 0) throw net::CodecError("decision tree: no nodes");
   tree.nodes_.resize(node_count);
   for (Node& node : tree.nodes_) {
     node.left = static_cast<std::int32_t>(r.ReadU32());
@@ -315,7 +318,7 @@ DecisionTree DecisionTree::Load(net::ByteReader& r) {
     node.proba_offset = static_cast<std::int32_t>(r.ReadU32());
     node.majority = static_cast<std::int32_t>(r.ReadU32());
   }
-  const std::uint32_t proba_count = r.ReadU32();
+  const std::uint32_t proba_count = r.ReadCount(sizeof(double));
   tree.leaf_probas_.resize(proba_count);
   for (double& p : tree.leaf_probas_) p = ReadDouble(r);
 
@@ -337,10 +340,31 @@ DecisionTree DecisionTree::Load(net::ByteReader& r) {
           static_cast<std::uint32_t>(node.left) >= node_count ||
           static_cast<std::uint32_t>(node.right) >= node_count)
         throw net::CodecError("decision tree: child index out of range");
-      // A negative split feature on an internal node would index
-      // row[SIZE_MAX] during Predict.
-      if (node.feature < 0)
-        throw net::CodecError("decision tree: negative split feature");
+      // A split feature outside the row would index past it in Predict.
+      if (node.feature < 0 ||
+          static_cast<std::size_t>(node.feature) >= feature_count)
+        throw net::CodecError("decision tree: split feature " +
+                              std::to_string(node.feature) +
+                              " outside rows of " +
+                              std::to_string(feature_count));
+    }
+  }
+  // Every node is reached at most once from the root: a cycle would make
+  // traversal loop forever, and a shared child breaks the left-to-right
+  // leaf numbering the compiled bank relies on.
+  std::vector<bool> reached(node_count, false);
+  std::vector<std::int32_t> stack{0};
+  reached[0] = true;
+  while (!stack.empty()) {
+    const Node& node = tree.nodes_[static_cast<std::size_t>(stack.back())];
+    stack.pop_back();
+    if (node.left == -1) continue;
+    for (const std::int32_t child : {node.left, node.right}) {
+      if (reached[static_cast<std::size_t>(child)])
+        throw net::CodecError("decision tree: node " + std::to_string(child) +
+                              " reachable twice");
+      reached[static_cast<std::size_t>(child)] = true;
+      stack.push_back(child);
     }
   }
   return tree;

@@ -71,12 +71,18 @@ class DecisionTree {
 
   /// Serializes the trained tree (versioned binary; see decision_tree.cc).
   void Save(net::ByteWriter& w) const;
-  /// Restores a tree saved with Save(). Throws net::CodecError on
-  /// malformed input.
-  static DecisionTree Load(net::ByteReader& r);
+  /// Bytes of the smallest tree Save() writes (one leaf, one class), the
+  /// bound loaders check untrusted tree counts against.
+  static constexpr std::size_t kMinSavedBytes = 55;
+  /// Restores a tree saved with Save() for rows of `feature_count` values.
+  /// Throws net::CodecError on malformed input: out-of-range indices,
+  /// split features or counts, and node graphs that are not trees (a node
+  /// reachable twice from the root, through a cycle or a shared child).
+  static DecisionTree Load(net::ByteReader& r, std::size_t feature_count);
 
-  /// Read-only structural access for arena compilation (FlatForest lays the
-  /// node table and leaf probabilities out into its SoA arena).
+  /// Read-only structural access for compilation (ForestBank turns the
+  /// node table and leaf probabilities into leaf masks and threshold
+  /// lists).
   [[nodiscard]] std::span<const Node> nodes() const { return nodes_; }
   [[nodiscard]] std::span<const double> leaf_probas() const {
     return leaf_probas_;

@@ -175,7 +175,8 @@ void RandomForest::Save(net::ByteWriter& w) const {
   for (const auto& tree : trees_) tree.Save(w);
 }
 
-RandomForest RandomForest::Load(net::ByteReader& r) {
+RandomForest RandomForest::Load(net::ByteReader& r,
+                                std::size_t feature_count) {
   if (r.ReadU8() != 'R' || r.ReadU8() != 'F')
     throw net::CodecError("not a serialized random forest");
   if (r.ReadU8() != 1)
@@ -185,10 +186,11 @@ RandomForest RandomForest::Load(net::ByteReader& r) {
   if (forest.class_count_ < 1)
     throw net::CodecError("random forest: invalid class count " +
                           std::to_string(forest.class_count_));
-  const std::uint32_t tree_count = r.ReadU32();
+  const std::uint32_t tree_count = r.ReadCount(DecisionTree::kMinSavedBytes);
+  if (tree_count == 0) throw net::CodecError("random forest: no trees");
   forest.trees_.reserve(tree_count);
   for (std::uint32_t i = 0; i < tree_count; ++i) {
-    DecisionTree tree = DecisionTree::Load(r);
+    DecisionTree tree = DecisionTree::Load(r, feature_count);
     // Per-tree labels index the forest-wide vote tally, so every tree
     // must agree with the forest on the class space.
     if (tree.class_count() != forest.class_count_)

@@ -58,7 +58,7 @@ class RandomForest {
 
   [[nodiscard]] std::size_t tree_count() const { return trees_.size(); }
   [[nodiscard]] bool trained() const { return !trees_.empty(); }
-  /// Read-only tree access for arena compilation (see ml/flat_forest.h).
+  /// Read-only tree access for compilation (see ml/forest_bank.h).
   [[nodiscard]] const std::vector<DecisionTree>& trees() const {
     return trees_;
   }
@@ -75,10 +75,12 @@ class RandomForest {
   /// example was out of bag (tiny datasets) or the forest was Load()ed.
   [[nodiscard]] double oob_accuracy() const { return oob_accuracy_; }
 
-  /// Serializes the trained forest; Load() restores it. The IoT Security
-  /// Service persists its per-type classifier bank this way.
+  /// Serializes the trained forest; Load() restores it for rows of
+  /// `feature_count` values (throwing net::CodecError on malformed input,
+  /// see DecisionTree::Load, or on a forest without trees). The IoT
+  /// Security Service persists its per-type classifier bank this way.
   void Save(net::ByteWriter& w) const;
-  static RandomForest Load(net::ByteReader& r);
+  static RandomForest Load(net::ByteReader& r, std::size_t feature_count);
 
  private:
   std::vector<DecisionTree> trees_;

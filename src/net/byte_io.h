@@ -123,6 +123,18 @@ class ByteReader {
     Require(count);
     pos_ += count;
   }
+  /// Reads a u32 element count, rejecting it when that many elements of at
+  /// least `min_element_bytes` each could not fit in the bytes left — so an
+  /// untrusted count cannot size an allocation before any element is read.
+  std::uint32_t ReadCount(std::size_t min_element_bytes) {
+    const std::uint32_t count = ReadU32();
+    if (count > remaining() / min_element_bytes)
+      throw CodecError("count " + std::to_string(count) + " of >= " +
+                       std::to_string(min_element_bytes) +
+                       "-byte elements exceeds the " +
+                       std::to_string(remaining()) + " bytes left");
+    return count;
+  }
   /// Peeks without consuming.
   [[nodiscard]] std::uint8_t PeekU8() const {
     if (remaining() < 1) throw CodecError("peek past end");

@@ -60,47 +60,52 @@ std::string SpliceSuffix(const std::string& name, const char* suffix,
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   if (bounds_.empty()) bounds_ = DefaultLatencyBoundsNs();
   std::sort(bounds_.begin(), bounds_.end());
-  own_buckets_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
+  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i)
     // ordering: relaxed — pre-publication zeroing in the constructor.
-    own_buckets_[i].store(0, std::memory_order_relaxed);
-  cells_ = {own_buckets_.get(), &own_sum_, &own_sum_squares_};
+    buckets_[i].store(0, std::memory_order_relaxed);
 }
 
-Histogram::Histogram(std::vector<double> bounds, Cells cells)
-    : bounds_(std::move(bounds)), cells_(cells) {
+Histogram::Histogram(std::vector<double> bounds, Reader read)
+    : bounds_(std::move(bounds)), read_(std::move(read)) {
   std::sort(bounds_.begin(), bounds_.end());
 }
 
 void Histogram::Observe(double value) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  cells_.buckets[it - bounds_.begin()].fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(*cells_.sum, value);
-  AtomicAdd(*cells_.sum_squares, value * value);
+  buckets_[it - bounds_.begin()].fetch_add(1, std::memory_order_relaxed);
+  AtomicAdd(sum_, value);
+  AtomicAdd(sum_squares_, value * value);
 }
 
 Histogram::Snapshot Histogram::Read() const {
   Snapshot snap;
-  snap.sum = cells_.sum->load(std::memory_order_relaxed);
-  snap.sum_squares = cells_.sum_squares->load(std::memory_order_relaxed);
-  snap.buckets.reserve(bounds_.size() + 1);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    cumulative += cells_.buckets[i].load(std::memory_order_relaxed);
-    snap.buckets.emplace_back(bounds_[i], cumulative);
+  const bool view = static_cast<bool>(read_);
+  std::vector<std::uint64_t> viewed;  // a view's per-bucket counts
+  if (view) {
+    viewed.assign(bounds_.size() + 1, 0);
+    read_(viewed, snap.sum, snap.sum_squares);
+  } else {
+    snap.sum = sum_.load(std::memory_order_relaxed);
+    snap.sum_squares = sum_squares_.load(std::memory_order_relaxed);
   }
-  cumulative += cells_.buckets[bounds_.size()].load(std::memory_order_relaxed);
-  snap.buckets.emplace_back(std::numeric_limits<double>::infinity(),
-                            cumulative);
-  snap.count = cumulative;
+  snap.buckets.reserve(bounds_.size() + 1);
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+    snap.count +=
+        view ? viewed[i] : buckets_[i].load(std::memory_order_relaxed);
+    snap.buckets.emplace_back(i < bounds_.size()
+                                  ? bounds_[i]
+                                  : std::numeric_limits<double>::infinity(),
+                              snap.count);
+  }
   return snap;
 }
 
 std::uint64_t Histogram::Count() const {
+  if (read_) return Read().count;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i <= bounds_.size(); ++i)
-    total += cells_.buckets[i].load(std::memory_order_relaxed);
+    total += buckets_[i].load(std::memory_order_relaxed);
   return total;
 }
 

@@ -56,17 +56,25 @@ inline void AtomicAdd(std::atomic<double>& target, double delta) {
 /// Monotonically increasing event count.
 class Counter {
  public:
+  Counter() = default;
+  /// A read-only view whose value `read` computes on every read, for a
+  /// count kept elsewhere (per-thread cells summed on read). Never
+  /// Increment() one.
+  explicit Counter(std::function<std::uint64_t()> read)
+      : read_(std::move(read)) {}
+
   void Increment(std::uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t Value() const {
-    return value_.load(std::memory_order_relaxed);
+    return read_ ? read_() : value_.load(std::memory_order_relaxed);
   }
 
  private:
   // ordering: relaxed — a monotonic event count; readers want an eventual
   // total, never an ordering edge with other memory.
   std::atomic<std::uint64_t> value_{0};
+  std::function<std::uint64_t()> read_;
 };
 
 /// Last-value instrument (worker counts, cache sizes, accuracies).
@@ -91,21 +99,19 @@ class Gauge {
 /// observation is three relaxed read-modify-writes.
 class Histogram {
  public:
-  /// Where a histogram's running state lives: bounds.size() + 1 bucket
-  /// counts (the last is +Inf), the sum and the sum of squares.
-  struct Cells {
-    std::atomic<std::uint64_t>* buckets = nullptr;
-    std::atomic<double>* sum = nullptr;
-    std::atomic<double>* sum_squares = nullptr;
-  };
+  /// Adds a histogram's state into `buckets` (bounds.size() + 1 per-bucket
+  /// counts, the last +Inf, not cumulative), `sum` and `sum_squares`.
+  using Reader = std::function<void(std::span<std::uint64_t> buckets,
+                                    double& sum, double& sum_squares)>;
 
   explicit Histogram(std::vector<double> bounds);
-  /// A histogram over caller-owned `cells`, zeroed, sized for `bounds`
-  /// as given (no default grid) and outliving it. A hot path that feeds
-  /// several instruments per event packs their cells into a few cache
-  /// lines, updates them directly (BucketIndex, AtomicAdd) and registers
-  /// views like this one for the readers (MetricsRegistry::AdoptHistogram).
-  Histogram(std::vector<double> bounds, Cells cells);
+  /// A read-only view whose state `read` computes on every read, with
+  /// `bounds` as given (no default grid). A hot path that feeds several
+  /// instruments per event keeps their cells in its own layout (for
+  /// example per thread), updates them directly (BucketIndex) and
+  /// registers views like this one for the readers
+  /// (MetricsRegistry::AdoptHistogram). Never Observe() one.
+  Histogram(std::vector<double> bounds, Reader read);
 
   void Observe(double value);
 
@@ -132,11 +138,11 @@ class Histogram {
   // ordering: relaxed (all three) — each bucket/aggregate is independently
   // monotonic; Read() tolerates a torn-across-fields snapshot by design
   // (Prometheus scrape semantics), so no acquire/release pairing exists.
-  // Unused when the cells are caller-owned.
-  std::unique_ptr<std::atomic<std::uint64_t>[]> own_buckets_;  // bounds + Inf
-  std::atomic<double> own_sum_{0.0};
-  std::atomic<double> own_sum_squares_{0.0};
-  Cells cells_;
+  // Unused by a view.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds + Inf
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> sum_squares_{0.0};
+  Reader read_;
 };
 
 /// Thread-safe name -> instrument registry. Get*() registers on first use

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -155,9 +156,13 @@ struct Profiler::ThreadTree {
 
   void AddSample(std::uint32_t node, std::uint64_t elapsed_ns) {
     FrameNode& frame = nodes[node];
-    // ordering: relaxed — statistics only; see FrameNode.
-    frame.count.fetch_add(1, std::memory_order_relaxed);
-    frame.total_ns.fetch_add(elapsed_ns, std::memory_order_relaxed);
+    // ordering: relaxed — statistics only; see FrameNode. The owner is
+    // the only writer, so a load and a store replace the read-modify-write.
+    frame.count.store(frame.count.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+    frame.total_ns.store(
+        frame.total_ns.load(std::memory_order_relaxed) + elapsed_ns,
+        std::memory_order_relaxed);
   }
 
   const std::size_t capacity;
@@ -183,18 +188,20 @@ struct Profiler::ThreadTree {
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
-    Profiler* profiler = Profiler::Current();
-    if (profiler == nullptr) return;
-    tree_ = profiler->TreeForCurrentThread();
-    parent_ = tree_->current;
-    node_ = tree_->FindOrAddChild(parent_, name);
-    tree_->current = node_;
-    start_ns_ = ProfileNowNs();
+    if (Open(name)) start_ns_ = ProfileNowNs();
   }
+  /// A frame bounded by the caller's own reads of the profiler's clock
+  /// (std::chrono::steady_clock), for a hot path that already times
+  /// itself: opened at `start`, recorded by Close(end) or, failing that,
+  /// at destruction. It takes no clock reads of its own.
+  ProfileScope(const char* name, std::chrono::steady_clock::time_point start) {
+    if (Open(name)) start_ns_ = ToNs(start);
+  }
+  /// Records the frame as ending at `end`; the destructor then does
+  /// nothing.
+  void Close(std::chrono::steady_clock::time_point end) { Close(ToNs(end)); }
   ~ProfileScope() {
-    if (tree_ == nullptr) return;
-    tree_->AddSample(node_, ProfileNowNs() - start_ns_);
-    tree_->current = parent_;
+    if (tree_ != nullptr) Close(ProfileNowNs());
   }
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
@@ -202,6 +209,28 @@ class ProfileScope {
   [[nodiscard]] bool enabled() const { return tree_ != nullptr; }
 
  private:
+  static std::uint64_t ToNs(std::chrono::steady_clock::time_point t) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            t.time_since_epoch())
+            .count());
+  }
+  bool Open(const char* name) {
+    Profiler* profiler = Profiler::Current();
+    if (profiler == nullptr) return false;
+    tree_ = profiler->TreeForCurrentThread();
+    parent_ = tree_->current;
+    node_ = tree_->FindOrAddChild(parent_, name);
+    tree_->current = node_;
+    return true;
+  }
+  void Close(std::uint64_t end_ns) {
+    if (tree_ == nullptr) return;
+    tree_->AddSample(node_, end_ns - start_ns_);
+    tree_->current = parent_;
+    tree_ = nullptr;
+  }
+
   Profiler::ThreadTree* tree_ = nullptr;
   std::uint32_t node_ = 0;
   std::uint32_t parent_ = 0;

@@ -66,7 +66,88 @@ double ComputePsi(const Histogram::Snapshot& baseline,
   return psi;
 }
 
+/// A single-writer add: a relaxed load and store, no read-modify-write.
+template <typename T>
+void Add(std::atomic<T>& cell, T delta) {
+  cell.store(cell.load(std::memory_order_relaxed) + delta,
+             std::memory_order_relaxed);
+}
+
+// ordering: relaxed — a unique-id dispenser; ids carry no data.
+std::atomic<std::uint64_t> next_id{1};
+
+std::uint64_t NextId() {
+  return next_id.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+QualityMonitor::Shard::~Shard() {
+  for (auto& cells : types) delete cells.load(std::memory_order_relaxed);
+}
+
+QualityMonitor::Store::Store() : id(NextId()) {}
+
+QualityMonitor::Store::~Store() {
+  for (Shard* shard = head.load(std::memory_order_acquire); shard != nullptr;) {
+    Shard* next = shard->next;
+    delete shard;
+    shard = next;
+  }
+}
+
+QualityMonitor::Shard& QualityMonitor::Store::Local() {
+  // Tokens, like store ids, are never reused, so a cached shard is this
+  // thread's and this store's.
+  thread_local const std::uint64_t token = NextId();
+  thread_local std::uint64_t cached_store = 0;
+  thread_local Shard* cached_shard = nullptr;
+  if (cached_store == id) return *cached_shard;
+  Shard* shard = head.load(std::memory_order_acquire);
+  while (shard != nullptr && shard->owner != token) shard = shard->next;
+  if (shard == nullptr) {
+    shard = new Shard(token);
+    shard->next = head.load(std::memory_order_relaxed);
+    while (!head.compare_exchange_weak(shard->next, shard,
+                                       std::memory_order_release,
+                                       std::memory_order_relaxed)) {
+    }
+  }
+  cached_store = id;
+  cached_shard = shard;
+  return *shard;
+}
+
+std::uint64_t QualityMonitor::Store::Sum(CountField field, int label) const {
+  std::uint64_t total = 0;
+  for (const Shard* shard = head.load(std::memory_order_acquire);
+       shard != nullptr; shard = shard->next) {
+    const Cells* cells = shard->Scope(label);
+    if (cells != nullptr)
+      total += (cells->*field).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void QualityMonitor::Store::AddChannel(Channel channel, int label,
+                                       std::span<std::uint64_t> buckets,
+                                       double& sum, double& sum_squares) const {
+  const bool margin = channel == Channel::kMargin;
+  for (const Shard* shard = head.load(std::memory_order_acquire);
+       shard != nullptr; shard = shard->next) {
+    const Cells* cells = shard->Scope(label);
+    if (cells == nullptr) continue;
+    const auto* cell_buckets =
+        margin ? cells->margin_buckets : cells->dissimilarity_buckets;
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+      buckets[i] += cell_buckets[i].load(std::memory_order_relaxed);
+    sum += (margin ? cells->margin_sum : cells->dissimilarity_sum)
+               .load(std::memory_order_relaxed);
+    sum_squares +=
+        (margin ? cells->margin_sum_squares : cells->dissimilarity_sum_squares)
+            .load(std::memory_order_relaxed);
+  }
+}
 
 QualityMonitor::QualityMonitor(MetricsRegistry* registry,
                                QualityMonitorConfig config)
@@ -75,30 +156,26 @@ QualityMonitor::QualityMonitor(MetricsRegistry* registry,
       margin_bounds_(SortedBounds(config_.margin_bounds, DefaultMarginBounds)),
       dissimilarity_bounds_(SortedBounds(config_.dissimilarity_bounds,
                                          DefaultDissimilarityBounds)),
-      totals_(std::make_shared<Totals>(margin_bounds_)) {
+      store_(std::make_shared<Store>()) {
   SENTINEL_CHECK(registry_ != nullptr) << "quality monitor needs a registry";
   SENTINEL_CHECK(margin_bounds_.size() < kMaxBuckets &&
                  dissimilarity_bounds_.size() < kMaxBuckets)
       << "quality histograms take at most " << kMaxBuckets - 1 << " bounds";
-  const auto adopt = [&](const char* name, const char* help,
-                         Counter* counter) {
-    registry_->AdoptCounter(name, help,
-                            std::shared_ptr<Counter>(totals_, counter));
-  };
-  adopt("sentinel_quality_identifications_total",
-        "verdicts observed by the quality monitor",
-        &totals_->identifications);
-  adopt("sentinel_quality_unknown_total",
-        "verdicts reported as new/unknown device-types", &totals_->unknown);
-  adopt("sentinel_quality_multi_match_total",
-        "verdicts with more than one accepting classifier",
-        &totals_->multi_match);
-  adopt("sentinel_quality_tiebreak_total",
-        "equal-dissimilarity tie-break coin flips observed",
-        &totals_->tiebreaks);
-  registry_->AdoptHistogram(
-      "sentinel_quality_margin", "top-1 vs top-2 accept-probability margin",
-      std::shared_ptr<Histogram>(totals_, &totals_->margin_view));
+  AdoptCount("sentinel_quality_identifications_total",
+             "verdicts observed by the quality monitor",
+             &Cells::identifications, kTotals);
+  AdoptCount("sentinel_quality_unknown_total",
+             "verdicts reported as new/unknown device-types", &Cells::unknown,
+             kTotals);
+  AdoptCount("sentinel_quality_multi_match_total",
+             "verdicts with more than one accepting classifier",
+             &Cells::multi_match, kTotals);
+  AdoptCount("sentinel_quality_tiebreak_total",
+             "equal-dissimilarity tie-break coin flips observed",
+             &Cells::tiebreaks, kTotals);
+  AdoptChannel("sentinel_quality_margin",
+               "top-1 vs top-2 accept-probability margin", margin_bounds_,
+               Channel::kMargin, kTotals);
   assessments_total_ = &registry_->GetCounter(
       "sentinel_quality_assessments_total",
       "gateway assessment outcomes observed");
@@ -107,34 +184,55 @@ QualityMonitor::QualityMonitor(MetricsRegistry* registry,
       "gateway assessments that isolated an unknown device");
 }
 
+void QualityMonitor::AdoptCount(const std::string& name, const char* help,
+                                CountField field, int label) {
+  registry_->AdoptCounter(
+      name, help,
+      std::make_shared<Counter>(
+          [store = std::shared_ptr<const Store>(store_), field, label] {
+            return store->Sum(field, label);
+          }));
+}
+
+Histogram* QualityMonitor::AdoptChannel(const std::string& name,
+                                        const char* help,
+                                        const std::vector<double>& bounds,
+                                        Channel channel, int label) {
+  return &registry_->AdoptHistogram(
+      name, help,
+      std::make_shared<Histogram>(
+          bounds, [store = std::shared_ptr<const Store>(store_), channel,
+                   label](std::span<std::uint64_t> buckets, double& sum,
+                          double& sum_squares) {
+            store->AddChannel(channel, label, buckets, sum, sum_squares);
+          }));
+}
+
 void QualityMonitor::BindTypes(const std::vector<int>& labels) {
   MutexLock lock(mutex_);
   for (const int label : labels) {
     if (label < 0 || label >= kMaxLabel) continue;  // totals only
     if (FindSlot(label) != nullptr) continue;        // already bound
-    auto slot = std::shared_ptr<TypeSlot>(
-        new TypeSlot(label, margin_bounds_, dissimilarity_bounds_));
+    auto slot = std::make_unique<TypeSlot>();
+    slot->label = label;
     const std::string tag = "{type=\"" + std::to_string(label) + "\"}";
-    registry_->AdoptCounter(
-        "sentinel_quality_identifications_total" + tag,
-        "verdicts observed by the quality monitor",
-        std::shared_ptr<Counter>(slot, &slot->identifications));
-    registry_->AdoptCounter(
-        "sentinel_quality_rejected_total" + tag,
-        "probes keyed to a type but still rejected as unknown",
-        std::shared_ptr<Counter>(slot, &slot->rejected));
-    registry_->AdoptCounter(
-        "sentinel_quality_tiebreak_total" + tag,
-        "equal-dissimilarity tie-break coin flips observed",
-        std::shared_ptr<Counter>(slot, &slot->tiebreaks));
-    registry_->AdoptHistogram(
+    AdoptCount("sentinel_quality_identifications_total" + tag,
+               "verdicts observed by the quality monitor",
+               &Cells::identifications, label);
+    AdoptCount("sentinel_quality_rejected_total" + tag,
+               "probes keyed to a type but still rejected as unknown",
+               &Cells::unknown, label);
+    AdoptCount("sentinel_quality_tiebreak_total" + tag,
+               "equal-dissimilarity tie-break coin flips observed",
+               &Cells::tiebreaks, label);
+    slot->margin_view = AdoptChannel(
         "sentinel_quality_margin" + tag,
-        "top-1 vs top-2 accept-probability margin",
-        std::shared_ptr<Histogram>(slot, &slot->margin_view));
-    registry_->AdoptHistogram(
+        "top-1 vs top-2 accept-probability margin", margin_bounds_,
+        Channel::kMargin, label);
+    slot->dissimilarity_view = AdoptChannel(
         "sentinel_quality_dissimilarity" + tag,
-        "winning tie-break dissimilarity score",
-        std::shared_ptr<Histogram>(slot, &slot->dissimilarity_view));
+        "winning tie-break dissimilarity score", dissimilarity_bounds_,
+        Channel::kDissimilarity, label);
     slot->psi_gauge = &registry_->GetGauge(
         "sentinel_quality_psi" + tag,
         "population stability index (max over the margin and dissimilarity "
@@ -143,8 +241,8 @@ void QualityMonitor::BindTypes(const std::vector<int>& labels) {
     // (empty) current state so UpdateDrift treats everything it ever
     // observes as live window.
     if (baseline_pinned_.load(std::memory_order_relaxed)) {
-      slot->baseline_margin = slot->margin_view.Read();
-      slot->baseline_dissimilarity = slot->dissimilarity_view.Read();
+      slot->baseline_margin = slot->margin_view->Read();
+      slot->baseline_dissimilarity = slot->dissimilarity_view->Read();
       slot->has_baseline = true;
     }
     slots_by_label_[label].store(slot.get(), std::memory_order_release);
@@ -154,27 +252,40 @@ void QualityMonitor::BindTypes(const std::vector<int>& labels) {
 
 void QualityMonitor::Record(const QualitySample& sample) {
   const double margin = sample.top1_probability - sample.top2_probability;
-  // Both margin channels share the bounds, so one bucket lookup serves
-  // the bank-wide and the per-type histogram.
+  // Both margin histograms share the bounds, so one bucket lookup serves
+  // the bank-wide and the per-type one. The flags are added as 0 or 1:
+  // with one writer per cell an unconditional store is cheaper than a
+  // mispredicted branch.
   const std::size_t margin_bucket = BucketIndex(margin_bounds_, margin);
-  Totals& totals = *totals_;
-  totals.identifications.Increment();
-  if (sample.unknown) totals.unknown.Increment();
-  if (sample.multi_match) totals.multi_match.Increment();
-  if (sample.tie_break_count > 0)
-    totals.tiebreaks.Increment(sample.tie_break_count);
-  totals.margin.Observe(margin_bucket, margin);
-  TypeSlot* slot = FindSlot(sample.top_label);
-  if (slot == nullptr) return;
-  slot->identifications.Increment();
-  if (sample.unknown) slot->rejected.Increment();
-  if (sample.tie_break_count > 0)
-    slot->tiebreaks.Increment(sample.tie_break_count);
-  slot->margin.Observe(margin_bucket, margin);
-  if (!std::isnan(sample.best_dissimilarity)) {
-    slot->dissimilarity.Observe(
-        BucketIndex(dissimilarity_bounds_, sample.best_dissimilarity),
-        sample.best_dissimilarity);
+  const auto record = [&](Cells& cells) {
+    Add(cells.identifications, std::uint64_t{1});
+    Add(cells.unknown, std::uint64_t{sample.unknown});
+    Add(cells.tiebreaks, sample.tie_break_count);
+    Add(cells.margin_buckets[margin_bucket], std::uint64_t{1});
+    Add(cells.margin_sum, margin);
+    Add(cells.margin_sum_squares, margin * margin);
+  };
+  Shard& shard = store_->Local();
+  record(shard.totals);
+  Add(shard.totals.multi_match, std::uint64_t{sample.multi_match});
+  const int label = sample.top_label;
+  if (label < 0 || label >= kMaxLabel) return;
+  // The owner is the only writer of its pointers, so its own relaxed load
+  // sees its last store.
+  Cells* cells = shard.types[label].load(std::memory_order_relaxed);
+  if (cells == nullptr) {
+    if (FindSlot(label) == nullptr) return;  // unbound: totals only
+    cells = new Cells();
+    shard.types[label].store(cells, std::memory_order_release);
+  }
+  record(*cells);
+  const double dissimilarity = sample.best_dissimilarity;
+  if (!std::isnan(dissimilarity)) {
+    Add(cells->dissimilarity_buckets[BucketIndex(dissimilarity_bounds_,
+                                                 dissimilarity)],
+        std::uint64_t{1});
+    Add(cells->dissimilarity_sum, dissimilarity);
+    Add(cells->dissimilarity_sum_squares, dissimilarity * dissimilarity);
   }
 }
 
@@ -186,8 +297,8 @@ void QualityMonitor::RecordAssessmentOutcome(bool known) {
 void QualityMonitor::PinBaseline() {
   MutexLock lock(mutex_);
   for (const auto& slot : slots_) {
-    slot->baseline_margin = slot->margin_view.Read();
-    slot->baseline_dissimilarity = slot->dissimilarity_view.Read();
+    slot->baseline_margin = slot->margin_view->Read();
+    slot->baseline_dissimilarity = slot->dissimilarity_view->Read();
     slot->has_baseline = true;
     slot->psi.store(0.0, std::memory_order_relaxed);
     slot->psi_gauge->Set(0.0);
@@ -212,8 +323,8 @@ void QualityMonitor::UpdateDrift() {
                  : ComputePsi(baseline, current, config_.psi_epsilon);
     };
     const double psi =
-        std::max(channel_psi(slot->margin_view, slot->baseline_margin),
-                 channel_psi(slot->dissimilarity_view,
+        std::max(channel_psi(*slot->margin_view, slot->baseline_margin),
+                 channel_psi(*slot->dissimilarity_view,
                              slot->baseline_dissimilarity));
     slot->psi.store(psi, std::memory_order_relaxed);
     slot->psi_gauge->Set(psi);
@@ -228,22 +339,21 @@ double QualityMonitor::Psi(int label) const {
 std::string QualityMonitor::RenderJson() const {
   MutexLock lock(mutex_);
   std::string out = "{\n  \"totals\": {";
-  const Totals& totals = *totals_;
-  out += "\n    \"identifications\": " +
-         std::to_string(totals.identifications.Value());
-  out += ",\n    \"unknown\": " + std::to_string(totals.unknown.Value());
+  const std::uint64_t total = store_->Sum(&Cells::identifications, kTotals);
+  const std::uint64_t unknown = store_->Sum(&Cells::unknown, kTotals);
+  out += "\n    \"identifications\": " + std::to_string(total);
+  out += ",\n    \"unknown\": " + std::to_string(unknown);
   out += ",\n    \"multi_match\": " +
-         std::to_string(totals.multi_match.Value());
-  out += ",\n    \"tiebreaks\": " + std::to_string(totals.tiebreaks.Value());
+         std::to_string(store_->Sum(&Cells::multi_match, kTotals));
+  out += ",\n    \"tiebreaks\": " +
+         std::to_string(store_->Sum(&Cells::tiebreaks, kTotals));
   out +=
       ",\n    \"assessments\": " + std::to_string(assessments_total_->Value());
   out += ",\n    \"assessments_unknown\": " +
          std::to_string(assessments_unknown_total_->Value());
-  const std::uint64_t total = totals.identifications.Value();
   const double unknown_ratio =
       total == 0 ? 0.0
-                 : static_cast<double>(totals.unknown.Value()) /
-                       static_cast<double>(total);
+                 : static_cast<double>(unknown) / static_cast<double>(total);
   out += ",\n    \"unknown_ratio\": " + FormatDouble(unknown_ratio);
   out += "\n  },\n  \"baseline_pinned\": ";
   out += baseline_pinned_.load(std::memory_order_relaxed) ? "true" : "false";
@@ -253,12 +363,14 @@ std::string QualityMonitor::RenderJson() const {
     out += first ? "\n    " : ",\n    ";
     first = false;
     AppendJsonEscaped(out, std::to_string(slot->label));
-    const Histogram::Snapshot margin = slot->margin_view.Read();
-    const Histogram::Snapshot dissimilarity = slot->dissimilarity_view.Read();
+    const Histogram::Snapshot margin = slot->margin_view->Read();
+    const Histogram::Snapshot dissimilarity = slot->dissimilarity_view->Read();
     out += ": {\"identifications\": " +
-           std::to_string(slot->identifications.Value()) +
-           ", \"rejected\": " + std::to_string(slot->rejected.Value()) +
-           ", \"tiebreaks\": " + std::to_string(slot->tiebreaks.Value()) +
+           std::to_string(store_->Sum(&Cells::identifications, slot->label)) +
+           ", \"rejected\": " +
+           std::to_string(store_->Sum(&Cells::unknown, slot->label)) +
+           ", \"tiebreaks\": " +
+           std::to_string(store_->Sum(&Cells::tiebreaks, slot->label)) +
            ", \"margin_mean\": " + FormatDouble(margin.Mean()) +
            ", \"margin_count\": " + std::to_string(margin.count) +
            ", \"dissimilarity_mean\": " + FormatDouble(dissimilarity.Mean()) +

@@ -24,29 +24,32 @@
 // The monitor is pure read-side instrumentation: it only consumes finished
 // IdentificationResults and never feeds anything back into the identifier,
 // so verdicts and serialized model bytes are bit-identical with a monitor
-// attached or not. Record() touches only atomics after an acquire-load of
-// the type's slot pointer, making it safe from concurrent IdentifyBatch
-// workers.
+// attached or not.
 //
-// Record() runs once per verdict on the identification hot path, so the
-// cells it writes are packed: the bank-wide series share one block, and
-// each type's counters and histogram cells sit in consecutive cache lines
-// of its slot, found by one load from a label-indexed table inside the
-// monitor. A verdict therefore touches a header line and the bucket lines
-// its values land in.
+// Record() runs once per verdict on the identification hot path, so it
+// writes per-thread cells: each recording thread owns one shard holding
+// the bank-wide cells and, allocated on its first sample of each bound
+// type, that type's cells. Only the owner writes a shard, with plain
+// relaxed load/store pairs instead of read-modify-writes, so a verdict
+// costs a few uncontended stores; readers sum every shard. Counts are
+// therefore exact once the recording threads are done, and a single
+// recording thread yields the same sums, bit for bit, as one shared
+// accumulator would.
 //
 // All instruments register in the provided MetricsRegistry under
-// `sentinel_quality_*` (the packed cells through MetricsRegistry::Adopt*,
-// so one registry hosts at most one monitor); per-type series carry an
-// inline Prometheus label (`sentinel_quality_psi{type="3"}`), which also
-// makes them samplable by the TimeSeriesStore and alertable by the
-// AlertEngine for free.
+// `sentinel_quality_*` as read-computed views over the shards (through
+// MetricsRegistry::Adopt*, so one registry hosts at most one monitor; the
+// views keep the shards alive after the monitor is gone); per-type series
+// carry an inline Prometheus label (`sentinel_quality_psi{type="3"}`),
+// which also makes them samplable by the TimeSeriesStore and alertable by
+// the AlertEngine for free.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -112,8 +115,9 @@ class QualityMonitor {
   /// [0, kMaxLabel), which are never bound.
   void BindTypes(const std::vector<int>& labels);
 
-  /// Records one verdict. Lock-free (atomics only); safe from concurrent
-  /// identification threads.
+  /// Records one verdict into the calling thread's shard. Lock-free (the
+  /// thread's first sample links its shard with one compare-exchange);
+  /// safe from concurrent identification threads.
   void Record(const QualitySample& sample);
 
   /// Records a gateway-level assessment outcome (SentinelModule verdicts,
@@ -138,59 +142,91 @@ class QualityMonitor {
   [[nodiscard]] std::string RenderJson() const;
 
  private:
-  /// Capacity of a packed histogram channel: bounds + the +Inf bucket.
+  /// Capacity of a histogram channel: bounds + the +Inf bucket.
   static constexpr std::size_t kMaxBuckets = 32;
+  /// Reader scope of the bank-wide cells (type scopes are labels).
+  static constexpr int kTotals = -1;
 
-  /// One histogram's cells, inline. Record() computes the bucket once per
-  /// value and updates them directly; a Histogram view over cells() is what
-  /// the registry reads.
-  struct Channel {
-    // ordering: relaxed (sums and buckets) — independent monotonic
-    // accumulators, read like any histogram's cells (Histogram::Read).
-    std::atomic<double> sum{0.0};
-    std::atomic<double> sum_squares{0.0};
-    std::atomic<std::uint64_t> buckets[kMaxBuckets] = {};
+  /// One scope's cells in one thread's shard: the bank-wide series, or one
+  /// bound type's (where `unknown` counts rejected probes, and multi_match
+  /// and the dissimilarity cells stay zero in the totals). The counts and
+  /// sums a verdict writes share the first cache line.
+  struct alignas(64) Cells {
+    // ordering: relaxed (every cell) — written only by the shard's thread,
+    // read by scrapers summing the shards; each cell is an independent
+    // monotonic accumulator.
+    std::atomic<std::uint64_t> identifications{0};
+    std::atomic<std::uint64_t> unknown{0};
+    std::atomic<std::uint64_t> multi_match{0};
+    std::atomic<std::uint64_t> tiebreaks{0};
+    std::atomic<double> margin_sum{0.0};
+    std::atomic<double> margin_sum_squares{0.0};
+    std::atomic<double> dissimilarity_sum{0.0};
+    std::atomic<double> dissimilarity_sum_squares{0.0};
+    std::atomic<std::uint64_t> margin_buckets[kMaxBuckets] = {};
+    std::atomic<std::uint64_t> dissimilarity_buckets[kMaxBuckets] = {};
+  };
 
-    void Observe(std::size_t bucket, double value) {
-      buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-      AtomicAdd(sum, value);
-      AtomicAdd(sum_squares, value * value);
+  /// One of Cells' counts, picked out for a reader.
+  using CountField = std::atomic<std::uint64_t> Cells::*;
+  /// Which histogram of Cells a reader sums.
+  enum class Channel { kMargin, kDissimilarity };
+
+  /// One recording thread's cells; only that thread writes them.
+  struct Shard {
+    explicit Shard(std::uint64_t owner_token) : owner(owner_token) {}
+    ~Shard();
+    Shard(const Shard&) = delete;
+    Shard& operator=(const Shard&) = delete;
+
+    /// The cells of scope `label` (kTotals or a bound label); null for a
+    /// type this shard's thread never recorded.
+    const Cells* Scope(int label) const {
+      return label == kTotals ? &totals
+                              : types[label].load(std::memory_order_acquire);
     }
-    Histogram::Cells cells() { return {buckets, &sum, &sum_squares}; }
+
+    const std::uint64_t owner;  // the recording thread's token
+    Shard* next = nullptr;      // set before the shard is published
+    Cells totals;
+    // ordering: release when the owner allocates a type's cells / acquire
+    // in readers — the cells are zeroed before their pointer is seen.
+    std::atomic<Cells*> types[kMaxLabel] = {};
   };
 
-  /// The bank-wide series: Record() writes the counters and the margin
-  /// cells of every verdict in this one block.
-  struct alignas(64) Totals {
-    explicit Totals(const std::vector<double>& margin_bounds)
-        : margin_view(margin_bounds, margin.cells()) {}
+  /// Every shard of one monitor. The registry's views share it, so a scrape
+  /// after the monitor is gone still reads every series it recorded.
+  struct Store {
+    Store();
+    ~Store();
+    Store(const Store&) = delete;
+    Store& operator=(const Store&) = delete;
 
-    Counter identifications;
-    Counter unknown;
-    Counter multi_match;
-    Counter tiebreaks;
-    Channel margin;
-    Histogram margin_view;
+    /// The calling thread's shard, published on its first sample.
+    Shard& Local();
+    /// `field` of scope `label` (kTotals or a bound label), summed over
+    /// every shard.
+    [[nodiscard]] std::uint64_t Sum(CountField field, int label) const;
+    /// Histogram `channel` of scope `label`, added into a histogram view's
+    /// accumulators (Histogram::Reader).
+    void AddChannel(Channel channel, int label,
+                    std::span<std::uint64_t> buckets, double& sum,
+                    double& sum_squares) const;
+
+    /// Distinct for every store ever made, so a thread's cached shard
+    /// never outlives its store's identity.
+    const std::uint64_t id;
+    // ordering: release on publish (a shard is built and linked before it
+    // is seen) / acquire on traversal.
+    std::atomic<Shard*> head{nullptr};
   };
 
-  /// One bound type. Record() writes only the leading counters and
-  /// channels; the rest is read-side state.
-  struct alignas(64) TypeSlot {
-    TypeSlot(int slot_label, const std::vector<double>& margin_bounds,
-             const std::vector<double>& dissimilarity_bounds)
-        : label(slot_label),
-          margin_view(margin_bounds, margin.cells()),
-          dissimilarity_view(dissimilarity_bounds, dissimilarity.cells()) {}
-
-    Counter identifications;  // probes keyed to this type
-    Counter rejected;         // ... that were still rejected
-    Counter tiebreaks;
-    Channel margin;
-    Channel dissimilarity;
-
+  /// One bound type: its histogram views and the drift state. Record()
+  /// only checks that the slot exists.
+  struct TypeSlot {
     int label = 0;
-    Histogram margin_view;
-    Histogram dissimilarity_view;
+    Histogram* margin_view = nullptr;
+    Histogram* dissimilarity_view = nullptr;
     Gauge* psi_gauge = nullptr;
     /// Cumulative bucket counts of each channel at PinBaseline() time.
     Histogram::Snapshot baseline_margin;
@@ -207,6 +243,13 @@ class QualityMonitor {
     return slots_by_label_[label].load(std::memory_order_acquire);
   }
 
+  /// Registers a read-computed counter / histogram view over the store.
+  void AdoptCount(const std::string& name, const char* help, CountField field,
+                  int label);
+  Histogram* AdoptChannel(const std::string& name, const char* help,
+                          const std::vector<double>& bounds, Channel channel,
+                          int label);
+
   MetricsRegistry* const registry_;
   const QualityMonitorConfig config_;
   // Sorted bucket bounds of the two channels (the config's, or the
@@ -214,15 +257,13 @@ class QualityMonitor {
   const std::vector<double> margin_bounds_;
   const std::vector<double> dissimilarity_bounds_;
 
-  // Shared with the registry, which holds the adopted instruments in it.
-  const std::shared_ptr<Totals> totals_;
+  const std::shared_ptr<Store> store_;
   Counter* assessments_total_;
   Counter* assessments_unknown_total_;
 
   // guards slots_/bind+pin, not Record
   mutable Mutex mutex_{"obs.quality"};
-  // Shared with the registry, like totals_.
-  std::vector<std::shared_ptr<TypeSlot>> slots_ SENTINEL_GUARDED_BY(mutex_);
+  std::vector<std::unique_ptr<TypeSlot>> slots_ SENTINEL_GUARDED_BY(mutex_);
   // ordering: release in BindTypes (a slot is fully built before its
   // pointer is stored) / acquire in FindSlot — Record() reads a bound
   // slot without taking mutex_. Indexed by label, inline in the monitor so

@@ -5,9 +5,9 @@
 // implementation used std::unordered_map<MacPair, std::vector<FlowRule*>>,
 // whose per-lookup cost is a bucket-node pointer chase plus a heap-allocated
 // vector indirection. At fleet scale (ROADMAP: 1M+ tracked MACs) that walk
-// dominates the per-packet budget, so this cache mirrors the FlatForest
-// arena idiom: all probe state lives in one flat slot array and a lookup is
-// one robin-hood linear probe sequence over contiguous memory.
+// dominates the per-packet budget, so this cache keeps all probe state in
+// one flat slot array and a lookup is one robin-hood linear probe sequence
+// over contiguous memory.
 //
 // Slot layout (32 bytes, two per cache line): the MAC-pair key (48-bit MACs
 // as u64; FlowTable keys rules without eth_dst under a dst above every MAC),

@@ -17,6 +17,8 @@
 #include "core/security_service.h"
 #include "devices/simulator.h"
 #include "net/byte_io.h"
+#include "obs/metrics.h"
+#include "obs/quality.h"
 #include "util/thread_pool.h"
 
 namespace sentinel {
@@ -153,35 +155,6 @@ TEST(IdentifyFastPath, BatchMatchesAcrossThreadCounts) {
   }
 }
 
-TEST(IdentifyFastPath, BankEarlyExitPreservesVerdicts) {
-  const auto dataset = devices::GenerateFingerprintDataset(5, 31);
-  auto identifier = TrainedIdentifier(dataset);
-  const auto probes = devices::GenerateFingerprintDataset(3, 8);
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    identifier.set_bank_early_exit(false);
-    const auto exact =
-        identifier.Identify(probes.fingerprints[i], probes.fixed[i]);
-    identifier.set_bank_early_exit(true);
-    const auto early =
-        identifier.Identify(probes.fingerprints[i], probes.fixed[i]);
-    identifier.set_bank_early_exit(false);
-    // Early exit trades exact recorded probabilities for speed, but the
-    // verdict-relevant outputs must be untouched.
-    EXPECT_EQ(early.type, exact.type);
-    EXPECT_EQ(early.matched_types, exact.matched_types);
-    EXPECT_EQ(early.bank_labels, exact.bank_labels);
-    EXPECT_EQ(early.dissimilarity_scores, exact.dissimilarity_scores);
-    // Recorded bounds must be consistent with each classifier's verdict.
-    for (std::size_t k = 0; k < early.bank_probabilities.size(); ++k) {
-      const bool accepted = early.bank_probabilities[k] >=
-                            early.acceptance_threshold;
-      const bool exact_accepted =
-          exact.bank_probabilities[k] >= exact.acceptance_threshold;
-      EXPECT_EQ(accepted, exact_accepted);
-    }
-  }
-}
-
 TEST(IdentifyFastPath, SavedBytesUnchangedByCompiledBank) {
   const auto dataset = devices::GenerateFingerprintDataset(4, 41);
   auto identifier = TrainedIdentifier(dataset);
@@ -209,35 +182,22 @@ TEST(IdentifyFastPath, SavedBytesUnchangedByCompiledBank) {
   }
 }
 
-// The serving kernel's bit-identical contract: verdict, candidate set,
-// bank order, tie-break count, and the winner's exact score. Recorded
-// probabilities are bound-grade (threshold early exit) and losing
-// candidates' scores are certified bounds, so those compare by
-// consistency rather than equality.
-void ExpectServeVerdictEqual(const core::IdentificationResult& serve,
-                             const core::IdentificationResult& exact) {
-  EXPECT_EQ(serve.type, exact.type);
-  EXPECT_EQ(serve.matched_types, exact.matched_types);
-  EXPECT_EQ(serve.bank_labels, exact.bank_labels);
-  EXPECT_EQ(serve.acceptance_threshold, exact.acceptance_threshold);
-  EXPECT_EQ(serve.tie_break_count, exact.tie_break_count);
-  ASSERT_EQ(serve.bank_probabilities.size(), exact.bank_probabilities.size());
-  for (std::size_t k = 0; k < serve.bank_probabilities.size(); ++k) {
-    EXPECT_EQ(serve.bank_probabilities[k] >= serve.acceptance_threshold,
-              exact.bank_probabilities[k] >= exact.acceptance_threshold);
-  }
-  ASSERT_EQ(serve.dissimilarity_scores.size(),
-            exact.dissimilarity_scores.size());
-  if (serve.type.has_value()) {
-    for (std::size_t c = 0; c < serve.matched_types.size(); ++c) {
-      if (serve.matched_types[c] == *serve.type) {
-        EXPECT_EQ(serve.dissimilarity_scores[c],
-                  exact.dissimilarity_scores[c]);
-      }
-    }
-  }
+// Every field a result carries except the two wall-clock stage timings.
+void ExpectSameResult(const core::IdentificationResult& got,
+                      const core::IdentificationResult& want) {
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.matched_types, want.matched_types);
+  EXPECT_EQ(got.bank_labels, want.bank_labels);
+  EXPECT_EQ(got.bank_probabilities, want.bank_probabilities);
+  EXPECT_EQ(got.acceptance_threshold, want.acceptance_threshold);
+  EXPECT_EQ(got.dissimilarity_scores, want.dissimilarity_scores);
+  EXPECT_EQ(got.edit_distance_count, want.edit_distance_count);
+  EXPECT_EQ(got.tie_break_count, want.tie_break_count);
 }
 
+// The serving kernel runs the same bank scan and tie-break as the per-call
+// and batch paths, so everything but the stage timings matches them
+// exactly — bank_probabilities included, bit for bit.
 TEST(IdentifyBatchServe, MatchesBatchAndPerCallVerdicts) {
   const auto dataset = devices::GenerateFingerprintDataset(6, 2026);
   auto identifier = TrainedIdentifier(dataset);
@@ -252,10 +212,10 @@ TEST(IdentifyBatchServe, MatchesBatchAndPerCallVerdicts) {
     const auto batch = identifier.IdentifyBatch(refs);
     ASSERT_EQ(serve.size(), set->size());
     for (std::size_t i = 0; i < set->size(); ++i) {
-      ExpectServeVerdictEqual(serve[i], batch[i]);
+      ExpectSameResult(serve[i], batch[i]);
       const auto single =
           identifier.Identify(set->fingerprints[i], set->fixed[i]);
-      ExpectServeVerdictEqual(serve[i], single);
+      ExpectSameResult(serve[i], single);
     }
   }
 }
@@ -306,29 +266,12 @@ TEST(IdentifyFastPath, PruningCountersFire) {
   core::DeviceIdentifier identifier;
   identifier.set_metrics(&registry);
   identifier.Train(ToExamples(dataset));
-  identifier.set_bank_early_exit(true);
-  // Training fingerprints multi-match heavily, exercising both stage-1
-  // early exits and stage-2 pruning.
+  // Training fingerprints multi-match heavily, exercising stage-2 pruning.
   for (std::size_t i = 0; i < dataset.size(); ++i)
     (void)identifier.Identify(dataset.fingerprints[i], dataset.fixed[i]);
-  const auto& early = registry.GetCounter("sentinel_bank_early_exit_total", "");
-  EXPECT_GT(early.Value(), 0u);
   const auto& pruned =
       registry.GetCounter("sentinel_identifier_editdist_pruned_total", "");
   EXPECT_GT(pruned.Value(), 0u);
-}
-
-// Every field a result carries except the two wall-clock stage timings.
-void ExpectSameResult(const core::IdentificationResult& got,
-                      const core::IdentificationResult& want) {
-  EXPECT_EQ(got.type, want.type);
-  EXPECT_EQ(got.matched_types, want.matched_types);
-  EXPECT_EQ(got.bank_labels, want.bank_labels);
-  EXPECT_EQ(got.bank_probabilities, want.bank_probabilities);
-  EXPECT_EQ(got.acceptance_threshold, want.acceptance_threshold);
-  EXPECT_EQ(got.dissimilarity_scores, want.dissimilarity_scores);
-  EXPECT_EQ(got.edit_distance_count, want.edit_distance_count);
-  EXPECT_EQ(got.tie_break_count, want.tie_break_count);
 }
 
 // The per-call stage timings the gateway journals and the e2e benchmark's
@@ -364,6 +307,42 @@ TEST(IdentifyFastPath, StageTimingsSurvive) {
     EXPECT_EQ(served.discrimination_time.count(), 0);
   }
   EXPECT_EQ(discrimination.Count(), reached_stage2);
+}
+
+// The quality monitor reads the bank scan's leaders on the fast paths and
+// recomputes them from bank_probabilities on the reference path: every
+// series it keeps — margins, top labels, tie-breaks — must come out the
+// same through all four entry points.
+TEST(IdentifyFastPath, QualitySeriesMatchAcrossPaths) {
+  const auto dataset = devices::GenerateFingerprintDataset(5, 87);
+  auto identifier = TrainedIdentifier(dataset);
+  const auto probes = devices::GenerateFingerprintDataset(3, 88);
+  std::vector<core::DeviceIdentifier::FingerprintRef> refs;
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    refs.push_back({&probes.fingerprints[i], &probes.fixed[i]});
+  const auto series = [&](int path) {
+    obs::MetricsRegistry registry;
+    obs::QualityMonitor monitor(&registry);
+    identifier.set_quality_monitor(&monitor);
+    identifier.set_fast_path(path != 0);
+    if (path == 2) {
+      (void)identifier.IdentifyBatch(refs);
+    } else if (path == 3) {
+      (void)identifier.IdentifyBatchServe(refs);
+    } else {
+      for (std::size_t i = 0; i < probes.size(); ++i)
+        (void)identifier.Identify(probes.fingerprints[i], probes.fixed[i]);
+    }
+    identifier.set_quality_monitor(nullptr);
+    identifier.set_fast_path(true);
+    return registry.RenderPrometheus();
+  };
+  const std::string reference = series(0);
+  EXPECT_NE(reference.find("sentinel_quality_margin_sum{type="),
+            std::string::npos);
+  EXPECT_EQ(series(1), reference);  // per-call fast path
+  EXPECT_EQ(series(2), reference);  // batch
+  EXPECT_EQ(series(3), reference);  // serve
 }
 
 // Forwards to the service and records every fingerprint the gateway asks
@@ -488,11 +467,7 @@ TEST(IdentifyFastPath, MatchesReferenceOnGatewayCapturedProbes) {
   ASSERT_EQ(served.size(), full.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
     ExpectSameResult(batch[i], per_call[i]);
-    // Serving runs the same stage-2 kernel: only its stage-1 provenance
-    // grade differs.
-    ExpectServeVerdictEqual(served[i], per_call[i]);
-    EXPECT_EQ(served[i].dissimilarity_scores, per_call[i].dissimilarity_scores);
-    EXPECT_EQ(served[i].edit_distance_count, per_call[i].edit_distance_count);
+    ExpectSameResult(served[i], per_call[i]);
   }
 }
 
@@ -528,9 +503,12 @@ TEST(IdentifyFastPath, ConcurrentCallersMatchSequentialPass) {
     ExpectSameResult(concurrent[i], sequential[i]);
 }
 
-// Two identifiers whose tie-break tables differ in size alternate on one
-// thread's scratch. The scratch's all-zero invariants (probe histogram,
-// Myers masks) must hold across them, so each answers as it does alone.
+// Two identifiers whose banks differ in size alternate on one thread's
+// scratch. The small bank has a third of the types, so its scan fills a
+// third of the mask words and its tie-break table is smaller: the mask
+// buffer is refilled at a different size on every switch, and the
+// tie-break scratch's all-zero invariants (probe histogram, Myers masks)
+// must hold across them, so each answers as it does alone.
 TEST(IdentifyFastPath, IdentifiersSharingAThreadScratchAnswerAsAlone) {
   const auto large_set = devices::GenerateFingerprintDataset(6, 91);
   devices::FingerprintDataset small_set;
@@ -575,6 +553,18 @@ TEST(IdentifyFastPath, IdentifiersSharingAThreadScratchAnswerAsAlone) {
     if (!small_alone[i].matched_types.empty()) ++small_stage2;
   }
   EXPECT_GT(small_stage2, 0u);
+  // Served verdicts share the same scan scratch.
+  std::vector<core::DeviceIdentifier::FingerprintRef> refs;
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    refs.push_back({&probes.fingerprints[i], &probes.fixed[i]});
+  std::thread([&] {
+    const auto large_served = large.IdentifyBatchServe(refs);
+    const auto small_served = small.IdentifyBatchServe(refs);
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      ExpectSameResult(large_served[i], large_alone[i]);
+      ExpectSameResult(small_served[i], small_alone[i]);
+    }
+  }).join();
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST(ForestSerialization, PredictionsIdenticalAfterRoundTrip) {
   net::ByteWriter w;
   forest.Save(w);
   net::ByteReader r(w.bytes());
-  const auto restored = ml::RandomForest::Load(r);
+  const auto restored = ml::RandomForest::Load(r, features::kFPrimeDim);
   EXPECT_EQ(restored.tree_count(), forest.tree_count());
   EXPECT_EQ(restored.class_count(), forest.class_count());
   for (std::size_t i = 0; i < dataset.size(); i += 7) {
@@ -127,7 +127,8 @@ TEST(ForestSerialization, CorruptedTreeRejected) {
   bytes[26] = 0x7f;
   bytes[27] = 0x7f;
   net::ByteReader r(bytes);
-  EXPECT_THROW(ml::RandomForest::Load(r), net::CodecError);
+  EXPECT_THROW(ml::RandomForest::Load(r, features::kFPrimeDim),
+               net::CodecError);
 }
 
 TEST(IdentifierSerialization, LoadedModelIdentifiesIdentically) {
@@ -161,6 +162,102 @@ TEST(IdentifierSerialization, LoadedModelIdentifiesIdentically) {
     }
     EXPECT_EQ(a.matched_types, b.matched_types);
   }
+}
+
+// A small saved model bundle, and the byte offsets of the fields the
+// crafted-bytes tests below overwrite: identifier framing (36 bytes), the
+// type count, the first type's label and forest framing (11), and the
+// first tree's framing (15), up to its node count and its root node.
+struct SavedBundle {
+  static constexpr std::size_t kTypeCount = 36;
+  static constexpr std::size_t kNodeCount = 36 + 4 + 4 + 11 + 11;
+  static constexpr std::size_t kRootLeft = kNodeCount + 4;
+  static constexpr std::size_t kRootRight = kRootLeft + 4;
+  static constexpr std::size_t kRootFeature = kRootLeft + 8;
+
+  std::vector<std::uint8_t> bytes;
+  features::Fingerprint probe;
+  features::FixedFingerprint probe_fixed;
+
+  SavedBundle() {
+    const auto dataset = devices::GenerateFingerprintDataset(3, 80);
+    std::vector<core::LabelledFingerprint> train;
+    for (std::size_t i = 0; i < dataset.size(); ++i)
+      train.push_back(core::LabelledFingerprint{
+          &dataset.fingerprints[i], &dataset.fixed[i], dataset.labels[i]});
+    core::IdentifierConfig config;
+    config.forest.tree_count = 3;
+    core::DeviceIdentifier identifier(config);
+    identifier.Train(train);
+    net::ByteWriter w;
+    identifier.Save(w);
+    bytes = std::move(w).Take();
+    probe = dataset.fingerprints[0];
+    probe_fixed = dataset.fixed[0];
+  }
+
+  void Put(std::size_t offset, std::uint32_t value) {
+    for (std::size_t i = 0; i < 4; ++i)
+      bytes[offset + i] = static_cast<std::uint8_t>(value >> (24 - 8 * i));
+  }
+  [[nodiscard]] std::uint32_t Get(std::size_t offset) const {
+    std::uint32_t value = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+      value = (value << 8) | bytes[offset + i];
+    return value;
+  }
+  void ExpectRejected() const {
+    net::ByteReader r(bytes);
+    EXPECT_THROW((void)core::DeviceIdentifier::Load(r), net::CodecError);
+  }
+};
+
+TEST(IdentifierSerialization, CraftedOffsetsPointAtTheFirstTree) {
+  const SavedBundle bundle;
+  net::ByteReader r(bundle.bytes);
+  const auto identifier = core::DeviceIdentifier::Load(r);
+  EXPECT_EQ(bundle.Get(SavedBundle::kTypeCount), identifier.type_count());
+  EXPECT_EQ(bundle.Get(SavedBundle::kNodeCount) % 2, 1u);  // 2 * leaves - 1
+  EXPECT_NE(bundle.Get(SavedBundle::kRootLeft), 0xffffffffu);  // internal
+  EXPECT_LT(bundle.Get(SavedBundle::kRootFeature), features::kFPrimeDim);
+  (void)identifier.Identify(bundle.probe, bundle.probe_fixed);
+}
+
+// A root that names itself as its left child loops a walk forever; a
+// node whose two children are one node breaks leaf numbering.
+TEST(IdentifierSerialization, NodeReachableTwiceRejected) {
+  SavedBundle cycle;
+  cycle.Put(SavedBundle::kRootLeft, 0);
+  cycle.ExpectRejected();
+  SavedBundle shared;
+  shared.Put(SavedBundle::kRootRight, shared.Get(SavedBundle::kRootLeft));
+  shared.ExpectRejected();
+}
+
+// Split features index F' rows: column 276 is one past the end.
+TEST(IdentifierSerialization, SplitFeatureOutsideFPrimeRejected) {
+  for (const std::uint32_t feature :
+       {static_cast<std::uint32_t>(features::kFPrimeDim), 100000u}) {
+    SavedBundle bundle;
+    bundle.Put(SavedBundle::kRootFeature, feature);
+    bundle.ExpectRejected();
+  }
+}
+
+// Counts the remaining bytes cannot hold are rejected before anything is
+// sized from them.
+TEST(IdentifierSerialization, CountsBeyondTheBytesLeftRejected) {
+  for (const std::uint32_t count : {0xffffffffu, 0x10000u}) {
+    SavedBundle types;
+    types.Put(SavedBundle::kTypeCount, count);
+    types.ExpectRejected();
+    SavedBundle nodes;
+    nodes.Put(SavedBundle::kNodeCount, count);
+    nodes.ExpectRejected();
+  }
+  SavedBundle no_nodes;
+  no_nodes.Put(SavedBundle::kNodeCount, 0);
+  no_nodes.ExpectRejected();
 }
 
 TEST(IdentifierSerialization, MissingFileThrows) {

@@ -84,7 +84,13 @@ TEST(HistogramTest, ViewOverCallerCellsMatchesOwningHistogram) {
   std::atomic<std::uint64_t> buckets[4] = {};
   std::atomic<double> sum{0.0};
   std::atomic<double> sum_squares{0.0};
-  const Histogram view(bounds, {buckets, &sum, &sum_squares});
+  const Histogram view(bounds, [&](std::span<std::uint64_t> out,
+                                   double& out_sum, double& out_squares) {
+    for (std::size_t i = 0; i < out.size(); ++i)
+      out[i] += buckets[i].load(std::memory_order_relaxed);
+    out_sum += sum.load(std::memory_order_relaxed);
+    out_squares += sum_squares.load(std::memory_order_relaxed);
+  });
   Histogram owning(bounds);
   for (const double v : {0.5, 1.0, 3.0, 3.5, 8.0}) {
     owning.Observe(v);
@@ -111,7 +117,14 @@ TEST(RegistryTest, AdoptedInstrumentsLiveAsLongAsTheRegistry) {
     std::atomic<std::uint64_t> buckets[3] = {};
     std::atomic<double> sum{0.0};
     std::atomic<double> sum_squares{0.0};
-    Histogram view{{1.0, 2.0}, {buckets, &sum, &sum_squares}};
+    Histogram view{{1.0, 2.0},
+                   [this](std::span<std::uint64_t> out, double& out_sum,
+                          double& out_squares) {
+                     for (std::size_t i = 0; i < out.size(); ++i)
+                       out[i] += buckets[i].load(std::memory_order_relaxed);
+                     out_sum += sum.load(std::memory_order_relaxed);
+                     out_squares += sum_squares.load(std::memory_order_relaxed);
+                   }};
   };
   MetricsRegistry registry;
   {
@@ -123,7 +136,10 @@ TEST(RegistryTest, AdoptedInstrumentsLiveAsLongAsTheRegistry) {
     EXPECT_EQ(&events, &block->events);
     EXPECT_EQ(&registry.GetCounter("adopted_total"), &block->events);
     block->events.Increment(3);
-    block->view.Observe(1.5);
+    block->buckets[BucketIndex(std::vector<double>{1.0, 2.0}, 1.5)].fetch_add(
+        1, std::memory_order_relaxed);
+    AtomicAdd(block->sum, 1.5);
+    AtomicAdd(block->sum_squares, 1.5 * 1.5);
   }
   EXPECT_EQ(registry.GetCounter("adopted_total").Value(), 3u);
   EXPECT_EQ(registry.GetHistogram("adopted").Read().count, 1u);
