@@ -308,8 +308,9 @@ int main(int argc, char** argv) {
   sentinel::bench::MetricsSession session(argc, argv);
   sentinel::bench::Header(
       "Serving-path load: work-conserving batching vs per-call over HTTP",
-      "the always-on service batches concurrent probes through the batch "
-      "fast path; per-call serving pays the full bank scan per request");
+      "the always-on service serves concurrent probes in batches, which "
+      "share the queue lock, wake-ups and socket writes; each probe still "
+      "pays its own bank scan");
 
   const std::size_t bank_types = 31;
   const auto train_base =

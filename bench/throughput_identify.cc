@@ -1,8 +1,9 @@
-// Identification fast-path throughput: reference scan vs the
-// compiled forest bank, single- and multi-threaded, per-call and batched,
-// across bank sizes from 8 to 128 device-types. Every fast-path verdict is
-// asserted equal to the reference verdict before anything is timed, so the
-// numbers can only come from an equivalent implementation.
+// Identification throughput: the reference oracle (IdentifyReference: a
+// sequential per-forest walk and unpruned tie-break, without telemetry) vs
+// the compiled kernel, single- and multi-threaded, per-call and batched,
+// across bank sizes from 8 to 128 device-types. Every kernel verdict is
+// asserted equal to the oracle's before anything is timed, so the numbers
+// can only come from an equivalent implementation.
 //
 //   throughput_identify [--quick] [--json <path>]
 //
@@ -149,9 +150,9 @@ int main(int argc, char** argv) {
   sentinel::bench::MetricsSession session(argc, argv);
 
   sentinel::bench::Header(
-      "Identification throughput: reference vs compiled fast path",
+      "Identification throughput: reference oracle vs compiled kernel",
       "Sect. VII reports identification cost dominated by the classifier "
-      "bank scan; the fast path scores the whole bank in one column scan");
+      "bank scan; the kernel scores the whole bank in one column scan");
 
   const std::vector<std::size_t> bank_sizes =
       quick ? std::vector<std::size_t>{8, 31}
@@ -187,13 +188,11 @@ int main(int argc, char** argv) {
 
     // Reference verdicts once, then assert every mode against them before
     // any timing.
-    identifier.set_fast_path(false);
     std::vector<IdentificationResult> expected;
     expected.reserve(probes.size());
     for (std::size_t i = 0; i < probes.size(); ++i)
-      expected.push_back(
-          identifier.Identify(probes.fingerprints[i], probes.fixed[i]));
-    identifier.set_fast_path(true);
+      expected.push_back(identifier.IdentifyReference(probes.fingerprints[i],
+                                                      probes.fixed[i]));
     for (std::size_t i = 0; i < probes.size(); ++i) {
       CheckEquivalent(
           identifier.Identify(probes.fingerprints[i], probes.fixed[i]),
@@ -213,10 +212,13 @@ int main(int argc, char** argv) {
         (void)identifier.Identify(probes.fingerprints[i], probes.fixed[i]);
     };
     const auto run_batch = [&] { (void)identifier.IdentifyBatch(refs); };
+    const auto run_reference = [&] {
+      for (std::size_t i = 0; i < probes.size(); ++i)
+        (void)identifier.IdentifyReference(probes.fingerprints[i],
+                                           probes.fixed[i]);
+    };
 
-    identifier.set_fast_path(false);
-    row.reference_1t = MeasureIps(reps, probes.size(), run_per_call);
-    identifier.set_fast_path(true);
+    row.reference_1t = MeasureIps(reps, probes.size(), run_reference);
     row.fast_1t = MeasureIps(reps, probes.size(), run_per_call);
     row.batch_1t = MeasureIps(reps, probes.size(), run_batch);
     identifier.set_thread_pool(&pool);

@@ -7,6 +7,7 @@
 //     -> <out_root>/fingerprint_codec/* seeds for fuzz_fingerprint_codec
 //     -> <out_root>/vulnerability_db/* seeds for fuzz_vulnerability_db
 //     -> <out_root>/model_load/*       seeds for fuzz_model_load
+//     -> <out_root>/identify_request/* seeds for fuzz_identify_request
 //
 // The seeds are checked in under fuzz/corpus/ so fuzz runs start from
 // structurally valid inputs (plus a few near-valid negatives); regenerate
@@ -175,6 +176,39 @@ void EmitModelSeeds(const fs::path& dir) {
   WriteSeed(dir, "small_model.bin", w.bytes());
 }
 
+/// One seed per request kind, each a route byte (see
+/// fuzz_identify_request.cc) followed by the body: a JSON probe, a binary
+/// probe (6 MAC octets + SFP bytes) and the setup-phase pcap.
+void EmitIdentifyRequestSeeds(const fs::path& dir) {
+  std::vector<net::ParsedPacket> packets;
+  for (const auto& frame : SetupPhaseFrames())
+    packets.push_back(net::ParseFrame(frame));
+  const auto fingerprint = features::Fingerprint::FromPackets(packets);
+
+  std::string json(1, '\0');
+  json += "{\"mac\":\"02:00:00:00:00:01\",\"packets\":[";
+  for (std::size_t p = 0; p < fingerprint.packets().size(); ++p) {
+    json += p > 0 ? ",[" : "[";
+    for (std::size_t f = 0; f < features::kFeatureCount; ++f) {
+      if (f > 0) json += ',';
+      json += std::to_string(fingerprint.packets()[p][f]);
+    }
+    json += ']';
+  }
+  json += "]}";
+  WriteSeed(dir, "json_probe.bin", std::string_view(json));
+
+  std::vector<std::uint8_t> binary = {1, 0x02, 0, 0, 0, 0, 0x01};
+  const auto sfp = features::SerializeFingerprint(fingerprint);
+  binary.insert(binary.end(), sfp.begin(), sfp.end());
+  WriteSeed(dir, "binary_probe.bin", binary);
+
+  std::vector<std::uint8_t> ingest = {2};
+  const auto capture = net::EncodePcap(SetupPhaseFrames());
+  ingest.insert(ingest.end(), capture.begin(), capture.end());
+  WriteSeed(dir, "setup_phase_pcap.bin", ingest);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -185,5 +219,6 @@ int main(int argc, char** argv) {
   EmitFingerprintSeeds(root / "fingerprint_codec");
   EmitFeedSeeds(root / "vulnerability_db");
   EmitModelSeeds(root / "model_load");
+  EmitIdentifyRequestSeeds(root / "identify_request");
   return 0;
 }

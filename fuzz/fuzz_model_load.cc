@@ -47,11 +47,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   sentinel::net::ByteReader r(std::span<const std::uint8_t>(data, size));
   try {
-    auto identifier = sentinel::core::DeviceIdentifier::Load(r);
+    const auto identifier = sentinel::core::DeviceIdentifier::Load(r);
     const auto fixed = feat::FixedFingerprint::FromFingerprint(Probe());
     const auto fast = identifier.Identify(Probe(), fixed);
-    identifier.set_fast_path(false);
-    const auto reference = identifier.Identify(Probe(), fixed);
+    const auto reference = identifier.IdentifyReference(Probe(), fixed);
     SENTINEL_CHECK(fast.bank_probabilities.size() ==
                    reference.bank_probabilities.size())
         << "bank sizes differ";

@@ -72,8 +72,8 @@ struct IdentificationResult {
   /// Number of edit-distance computations performed.
   std::size_t edit_distance_count = 0;
   /// Equal-dissimilarity tie-break coin flips taken while discriminating
-  /// (identical on the fast and reference paths — pruning never eliminates
-  /// a tie or the winner).
+  /// (identical in the kernel and the reference oracle — pruning never
+  /// eliminates a tie or the winner).
   std::size_t tie_break_count = 0;
   std::chrono::nanoseconds classification_time{0};
   std::chrono::nanoseconds discrimination_time{0};
@@ -95,9 +95,8 @@ class DeviceIdentifier {
 
   /// Opts this identifier into parallel execution: Train() spreads the
   /// per-type classifiers (and each classifier's trees) over the pool, and
-  /// IdentifyBatch() spreads its probes. Per-call Identify() and
-  /// IdentifyBatchServe() stay on the calling thread; only
-  /// IdentifyReference() parallelizes its bank scan and edit distances.
+  /// IdentifyBatch() spreads batches of more than 16 probes. Identify(),
+  /// smaller batches and IdentifyReference() stay on the calling thread.
   /// nullptr (the default) is fully sequential. Results are identical
   /// either way — parallel sections only fill
   /// per-index slots that are merged in deterministic order — so callers can
@@ -143,30 +142,6 @@ class DeviceIdentifier {
   void AddType(int label, const std::vector<LabelledFingerprint>& examples,
                const std::vector<LabelledFingerprint>& negatives);
 
-  /// Routes Identify() through the compiled fast path (the bank-wide
-  /// ForestBank scan + the pruned edit-distance tie-break kernel, the
-  /// default) or the reference implementation. Verdicts, bank
-  /// probabilities, matched-type lists, tie_break_count and the winning
-  /// dissimilarity score are bit-identical either way (differentially
-  /// tested); only dissimilarity scores of candidates that provably lost
-  /// may differ (the fast path records a certified lower bound instead of
-  /// finishing the computation), along with edit_distance_count.
-  void set_fast_path(bool on) { fast_path_ = on; }
-  [[nodiscard]] bool fast_path() const { return fast_path_; }
-
-  /// Identifies one fingerprint (through the fast path unless
-  /// set_fast_path(false)).
-  [[nodiscard]] IdentificationResult Identify(
-      const features::Fingerprint& full,
-      const features::FixedFingerprint& fixed) const;
-
-  /// The pre-fast-path implementation, kept verbatim for A/B comparison,
-  /// differential testing and honest benchmarking. Identify() with
-  /// set_fast_path(false) routes here.
-  [[nodiscard]] IdentificationResult IdentifyReference(
-      const features::Fingerprint& full,
-      const features::FixedFingerprint& fixed) const;
-
   /// One probe of a batched identification: both fingerprint forms, owned
   /// by the caller for the duration of the call.
   struct FingerprintRef {
@@ -174,24 +149,28 @@ class DeviceIdentifier {
     const features::FixedFingerprint* fixed = nullptr;
   };
 
-  /// Batched identification: one pass per probe over the thread pool, each
-  /// a per-call Identify() (bank scan, then tie-break) on the probe's F'
-  /// in place. Each result is bit-identical to the corresponding per-call
-  /// Identify() — every probe derives its reference picks and tie-break
-  /// coins from its own probe-hash-seeded RNG stream, so batching cannot
-  /// reorder them.
+  /// The one identification kernel: per probe, the compiled bank scan on
+  /// F' in place, then the tie-break if any classifier accepted, with the
+  /// stage timings. Probes spread over the pool in chunks of 16 (smaller
+  /// batches run on the caller). Each probe draws its picks and coins from
+  /// its own probe-hash-seeded RNG, so no result depends on its batch.
   [[nodiscard]] std::vector<IdentificationResult> IdentifyBatch(
       std::span<const FingerprintRef> probes) const;
 
-  /// Serving-grade batch identification: the kernel behind the always-on
-  /// server's micro-batched drain. Stages 1 and 2 are the same bank scan
-  /// and tie-break kernel Identify()/IdentifyBatch() run, so every result
-  /// field, bank_probabilities included, matches them on the default fast
-  /// path — except the per-stage timings, which are zero: the serving loop
-  /// takes no per-probe clock reads. Runs sequentially on the calling
-  /// thread, never touching the thread pool.
-  [[nodiscard]] std::vector<IdentificationResult> IdentifyBatchServe(
-      std::span<const FingerprintRef> probes) const;
+  /// Identifies one fingerprint: IdentifyBatch() of a batch of one.
+  [[nodiscard]] IdentificationResult Identify(
+      const features::Fingerprint& full,
+      const features::FixedFingerprint& fixed) const;
+
+  /// The test oracle: both stages written plainly over types_ — a
+  /// RandomForest walk per type and every edit distance in full — reading
+  /// none of the compiled indexes, so a Compile() fault cannot hide on both
+  /// sides. Equals the kernel on type, matched_types, bank_labels,
+  /// bank_probabilities (bitwise), acceptance_threshold, tie_break_count
+  /// and the winner's score. Sequential and telemetry-free; timings zero.
+  [[nodiscard]] IdentificationResult IdentifyReference(
+      const features::Fingerprint& full,
+      const features::FixedFingerprint& fixed) const;
 
   [[nodiscard]] std::size_t type_count() const { return types_.size(); }
   /// Mean out-of-bag accuracy across the per-type classifiers — a model
@@ -269,32 +248,27 @@ class DeviceIdentifier {
     obs::Gauge* types = nullptr;
   };
 
-  /// Fast-path stage 1 for one probe: fills bank_labels /
-  /// bank_probabilities / matched_types from one bank_ scan of `row` and
-  /// returns the scan's leaders. Takes no clock reads or spans.
+  /// The kernel for one probe: both stages with their timings, spans,
+  /// histograms, profiler frame and quality sample; not the counters.
+  void IdentifyProbe(const features::Fingerprint& full,
+                     const features::FixedFingerprint& fixed,
+                     IdentificationResult& result) const;
+  /// Bumps the verdict counters once per batch of finished results.
+  void CountVerdicts(std::span<const IdentificationResult> results) const;
+
+  /// Stage 1: fills bank_labels / bank_probabilities / matched_types from
+  /// one bank_ scan of `row` and returns the scan's leaders.
   ml::ForestBank::Leaders ScanBank(std::span<const double> row,
                                    IdentificationResult& result) const;
-  [[nodiscard]] IdentificationResult IdentifyFast(
-      const features::Fingerprint& full,
-      const features::FixedFingerprint& fixed) const;
 
-  /// Stage 2, the one fast-path tie-break kernel, for a probe whose
-  /// matched_types is non-empty: the reference implementation's RNG
+  /// Stage 2 for a probe whose matched_types is non-empty: the oracle's RNG
   /// stream, ties and coins, with the probe interned once against
   /// tie_break_, bag-bound pre-DP pruning and a Myers-capped DP band.
-  /// Sequential over candidates and references (the pruning budget
-  /// accumulates left to right) on a thread-local scratch, so it is
-  /// thread-pool independent and safe to run concurrently. Takes no clock
-  /// reads or spans. Returns the number of reference comparisons pruned.
+  /// Sequential (the pruning budget accumulates left to right) on a
+  /// thread-local scratch, so safe to run concurrently. Returns the number
+  /// of reference comparisons pruned.
   std::size_t Discriminate(const features::Fingerprint& full,
                            IdentificationResult& result) const;
-  /// Discriminate() plus the stage timing the per-call and batch paths
-  /// report: discrimination_time since `start` (the caller's last clock
-  /// read), the sentinel_stage_tie_break span and the
-  /// discrimination-latency histogram. Returns its closing clock read.
-  std::chrono::steady_clock::time_point DiscriminateTimed(
-      const features::Fingerprint& full, IdentificationResult& result,
-      std::chrono::steady_clock::time_point start) const;
 
   /// Reduces a finished result and its bank's leaders to a QualitySample
   /// and records it on the attached monitor (single branch when
@@ -316,7 +290,6 @@ class DeviceIdentifier {
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::QualityMonitor* quality_ = nullptr;
   IdentifierMetrics handles_;
-  bool fast_path_ = true;
 };
 
 }  // namespace sentinel::core

@@ -226,20 +226,11 @@ void IdentifyServer::ServeNextBatchLocked() {
     metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
   mu_.Unlock();
   const std::uint64_t serve_start = NowNs();
-  std::vector<IdentificationResult> results;
-  if (config_.batch_target <= 1) {
-    // Per-call baseline mode: the exact code path `sentinelctl identify`
-    // takes, so the benchmark's comparison is honest.
-    results.reserve(batch.size());
-    for (const auto& probe : batch)
-      results.push_back(identifier_->Identify(probe.full, probe.fixed));
-  } else {
-    std::vector<DeviceIdentifier::FingerprintRef> refs;
-    refs.reserve(batch.size());
-    for (const auto& probe : batch)
-      refs.push_back({.full = &probe.full, .fixed = &probe.fixed});
-    results = identifier_->IdentifyBatchServe(refs);
-  }
+  std::vector<DeviceIdentifier::FingerprintRef> refs;
+  refs.reserve(batch.size());
+  for (const auto& probe : batch)
+    refs.push_back({.full = &probe.full, .fixed = &probe.fixed});
+  std::vector<IdentificationResult> results = identifier_->IdentifyBatch(refs);
   const std::uint64_t serve_end = NowNs();
   mu_.Lock();
 

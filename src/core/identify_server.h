@@ -5,15 +5,17 @@
 //
 // Serving is work-conserving: whenever a serving thread is free and the
 // queue is non-empty, it takes everything queued, up to batch_target, and
-// serves it through DeviceIdentifier::IdentifyBatchServe. Two kinds of
-// thread serve: the background drain thread Start() launches, and any
-// caller blocked in WaitProbe (a connection handler collecting a verdict)
-// whose probe is not done yet. An admission wakes the drain thread only
-// once a second probe is queued: a lone probe is left to its own waiter,
-// which is cheaper than a cross-thread wake. Nothing waits for a batch to
-// fill, so light load is served at per-call latency; batches grow only
-// while every serving thread is busy, so saturation still amortizes the
-// bank scan.
+// serves it through DeviceIdentifier::IdentifyBatch, the one
+// identification kernel. Two kinds of thread serve: the background drain
+// thread Start() launches, and any caller blocked in WaitProbe (a
+// connection handler collecting a verdict) whose probe is not done yet.
+// An admission wakes the drain thread only once a second probe is queued:
+// a lone probe is left to its own waiter, which is cheaper than a
+// cross-thread wake. Nothing waits for a batch to fill, so light load is
+// served at per-call latency; batches grow only while every serving
+// thread is busy. A batch is still one scan and one tie-break per probe,
+// so what batching amortizes is the queue lock, the wake-ups and the
+// socket writes, not the identification.
 // Without Start() the waiters alone serve the queue — the deterministic
 // seam the tests drive.
 //
@@ -21,9 +23,9 @@
 // probe of the same device is shed (the newest fingerprint per device
 // wins) and its waiter told 429, or — when no same-device probe is queued
 // — the new probe is rejected with 429 + Retry-After derived from the
-// observed service rate. Verdict-grade fields of every served response
-// are bit-identical to a per-call `sentinelctl identify` of the same
-// fingerprint (differentially tested; see IdentifyBatchServe's contract).
+// observed service rate. Every served result equals a per-call Identify()
+// of the same fingerprint on every field but the two stage timings
+// (differentially tested), so the rendered verdict bytes are identical.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +49,10 @@ namespace sentinel::core {
 struct IdentifyServerConfig {
   /// Admission queue capacity; probes past it shed or get 429.
   std::size_t queue_depth = 256;
-  /// Largest batch one serving thread takes off the queue (the serve
-  /// kernel's amortization saturates quickly; see BENCH_serve.json's
-  /// batch histogram). 1 degenerates to per-call serving through
-  /// Identify().
+  /// Largest batch one serving thread takes off the queue and serves
+  /// through IdentifyBatch (1 serves each probe alone). Batches of up to
+  /// 16 identify on the serving thread; see BENCH_serve.json's batch
+  /// histogram for the sizes saturation reaches.
   std::size_t batch_target = 16;
 };
 
@@ -204,11 +206,9 @@ class IdentifyServer : public obs::PostRoutes {
 
   void DrainLoop();
   /// The one serving step both kinds of serving thread take: pops up to
-  /// batch_target queued probes, identifies them with mu_ released
-  /// (batched kernel, or the per-call path when batch_target == 1 — the
-  /// honest baseline the benchmark compares against), then fills their
-  /// slots and wakes the waiters. Requires a non-empty queue; returns with
-  /// mu_ held again.
+  /// batch_target queued probes, identifies them through IdentifyBatch
+  /// with mu_ released, then fills their slots and wakes the waiters.
+  /// Requires a non-empty queue; returns with mu_ held again.
   void ServeNextBatchLocked() SENTINEL_REQUIRES(mu_);
 
   PendingHttp BuildIdentify(const std::string& content_type,

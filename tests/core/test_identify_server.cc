@@ -7,6 +7,7 @@
 // and the HTTP facade's parsing of all three probe formats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -60,36 +61,46 @@ std::string PerCallVerdict(std::size_t i) {
 }
 
 TEST(IdentifyServer, SizeTargetFormsOneBatchAndVerdictsMatchPerCall) {
-  // Not started: the first waiter takes everything queued, up to the cap
-  // of 8, and the next waiter whose probe is still queued takes the rest.
-  IdentifyServer server(&SharedIdentifier(),
-                        {.queue_depth = 64, .batch_target = 8});
-  const auto& probes = Probes();
-  std::vector<std::uint64_t> tickets;
-  for (std::size_t i = 0; i < 10; ++i) {
-    const auto submission = server.SubmitProbe(
-        Mac(static_cast<std::uint8_t>(i)), probes.fingerprints[i],
-        probes.fixed[i]);
-    ASSERT_TRUE(submission.admitted);
-    tickets.push_back(submission.ticket);
+  // Not started: the first waiter takes everything queued, up to the cap,
+  // and the next waiter whose probe is still queued takes the rest. A cap
+  // of 1 serves every probe alone, through the same batch kernel.
+  constexpr std::size_t kProbes = 10;
+  for (const std::size_t target : {std::size_t{8}, std::size_t{1}}) {
+    SCOPED_TRACE(target);
+    IdentifyServer server(&SharedIdentifier(),
+                          {.queue_depth = 64, .batch_target = target});
+    const auto& probes = Probes();
+    std::vector<std::uint64_t> tickets;
+    for (std::size_t i = 0; i < kProbes; ++i) {
+      const auto submission = server.SubmitProbe(
+          Mac(static_cast<std::uint8_t>(i)), probes.fingerprints[i],
+          probes.fixed[i]);
+      ASSERT_TRUE(submission.admitted);
+      tickets.push_back(submission.ticket);
+    }
+    for (std::size_t i = 0; i < kProbes; ++i) {
+      const auto outcome = server.WaitProbe(tickets[i]);
+      ASSERT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
+      const std::size_t batch_start = i / target * target;
+      EXPECT_EQ(outcome.batch_size, std::min(target, kProbes - batch_start));
+      // The rendered verdict JSON — what a client actually receives — must
+      // be byte-identical to the per-call path's rendering.
+      EXPECT_EQ(IdentifyServer::RenderVerdictJson(outcome.result),
+                PerCallVerdict(i));
+    }
+    const std::size_t full_batches = kProbes / target;
+    const std::size_t remainder = kProbes % target;
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.batches, full_batches + (remainder > 0 ? 1 : 0));
+    EXPECT_EQ(stats.flush_size, full_batches);
+    EXPECT_EQ(stats.flush_sparse, remainder > 0 ? 1u : 0u);
+    EXPECT_EQ(stats.flush_deadline, 0u);
+    EXPECT_EQ(stats.probes_served, kProbes);
+    EXPECT_EQ(stats.batch_size_counts.at(target), full_batches);
+    if (remainder > 0) {
+      EXPECT_EQ(stats.batch_size_counts.at(remainder), 1u);
+    }
   }
-  for (std::size_t i = 0; i < 10; ++i) {
-    const auto outcome = server.WaitProbe(tickets[i]);
-    ASSERT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
-    EXPECT_EQ(outcome.batch_size, i < 8 ? 8u : 2u);
-    // The rendered verdict JSON — what a client actually receives — must
-    // be byte-identical to the per-call path's rendering.
-    EXPECT_EQ(IdentifyServer::RenderVerdictJson(outcome.result),
-              PerCallVerdict(i));
-  }
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.flush_size, 1u);
-  EXPECT_EQ(stats.flush_sparse, 1u);
-  EXPECT_EQ(stats.flush_deadline, 0u);
-  EXPECT_EQ(stats.probes_served, 10u);
-  EXPECT_EQ(stats.batch_size_counts.at(8), 1u);
-  EXPECT_EQ(stats.batch_size_counts.at(2), 1u);
 }
 
 TEST(IdentifyServer, PartialBatchIsServedWithoutWaiting) {

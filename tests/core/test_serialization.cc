@@ -170,6 +170,7 @@ TEST(IdentifierSerialization, LoadedModelIdentifiesIdentically) {
 // first tree's framing (15), up to its node count and its root node.
 struct SavedBundle {
   static constexpr std::size_t kTypeCount = 36;
+  static constexpr std::size_t kFirstLabel = kTypeCount + 4;
   static constexpr std::size_t kNodeCount = 36 + 4 + 4 + 11 + 11;
   static constexpr std::size_t kRootLeft = kNodeCount + 4;
   static constexpr std::size_t kRootRight = kRootLeft + 4;
@@ -258,6 +259,20 @@ TEST(IdentifierSerialization, CountsBeyondTheBytesLeftRejected) {
   SavedBundle no_nodes;
   no_nodes.Put(SavedBundle::kNodeCount, 0);
   no_nodes.ExpectRejected();
+}
+
+// Labels name types: a bundle listing one label twice would accept a
+// probe as that type twice over and toss a coin between the copies.
+// Overwriting the first type's label 0 with the second's 1 repeats it.
+TEST(IdentifierSerialization, RepeatedTypeLabelRejected) {
+  SavedBundle bundle;
+  ASSERT_EQ(bundle.Get(SavedBundle::kFirstLabel), 0u);
+  {
+    net::ByteReader r(bundle.bytes);
+    EXPECT_EQ(core::DeviceIdentifier::Load(r).labels().at(1), 1);
+  }
+  bundle.Put(SavedBundle::kFirstLabel, 1);
+  bundle.ExpectRejected();
 }
 
 TEST(IdentifierSerialization, MissingFileThrows) {

@@ -37,9 +37,9 @@
 //       /identify (JSON or binary probe) and POST /ingest (raw pcap)
 //       enqueue into a MAC-keyed admission queue that any free serving
 //       thread (the drain thread, or a connection handler waiting on its
-//       verdict) empties in batches of up to --batch-target through the
-//       batch fast path, with explicit 429 + Retry-After overload
-//       push-back.
+//       verdict) empties in batches of up to --batch-target through
+//       DeviceIdentifier::IdentifyBatch, with explicit 429 + Retry-After
+//       overload push-back.
 //   sentinelctl alerts [--seed S] [--json]
 //       Run the firmware-drift scenario: one trained type's traffic
 //       shape gradually shifts while a control type stays clean; print
@@ -746,7 +746,7 @@ int CmdServe(const Options& options) {
 
   // The identification service proper: POST /identify and /ingest feed a
   // MAC-keyed admission queue that the drain thread and waiting connection
-  // handlers serve through the batch fast path (see
+  // handlers serve through DeviceIdentifier::IdentifyBatch (see
   // core/identify_server.h for the serving rule and overload semantics).
   core::IdentifyServer identify_server(
       &service.identifier(), {.queue_depth = options.queue_depth,
@@ -979,7 +979,7 @@ int Usage() {
       "      Retry-After when full). Any free serving thread -- the drain\n"
       "      thread or a connection handler waiting on its verdict --\n"
       "      takes everything queued, up to --batch-target probes, through\n"
-      "      the batch fast path; nothing waits for a batch to fill.\n"
+      "      the batch identifier; nothing waits for a batch to fill.\n"
       "      --serve-threads connection handlers give keep-alive +\n"
       "      pipelining; 0 falls back to one-at-a-time.\n"
       "  alerts [--seed S] [--json]\n"
