@@ -8,6 +8,7 @@
 //     -> <out_root>/vulnerability_db/* seeds for fuzz_vulnerability_db
 //     -> <out_root>/model_load/*       seeds for fuzz_model_load
 //     -> <out_root>/identify_request/* seeds for fuzz_identify_request
+//     -> <out_root>/http_request/*     seeds for fuzz_http_request
 //
 // The seeds are checked in under fuzz/corpus/ so fuzz runs start from
 // structurally valid inputs (plus a few near-valid negatives); regenerate
@@ -209,6 +210,36 @@ void EmitIdentifyRequestSeeds(const fs::path& dir) {
   WriteSeed(dir, "setup_phase_pcap.bin", ingest);
 }
 
+/// One connection's bytes per seed (see fuzz_http_request.cc): a GET, a
+/// pipeline, and the framing edge cases the request gate answers.
+void EmitHttpRequestSeeds(const fs::path& dir) {
+  const auto post = [](std::string_view body, std::string_view extra) {
+    return "POST /identify HTTP/1.1\r\nHost: x\r\n"
+           "Content-Type: application/json\r\nContent-Length: " +
+           std::to_string(body.size()) + "\r\n" + std::string(extra) +
+           "\r\n" + std::string(body);
+  };
+  WriteSeed(dir, "get.http",
+            std::string_view("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"));
+  WriteSeed(dir, "pipelined_posts.http",
+            post("{\"n\":1}", "") + post("{\"n\":2}", "Connection: close\r\n"));
+  WriteSeed(dir, "chunked_post.http",
+            std::string_view("POST /identify HTTP/1.1\r\nHost: x\r\n"
+                             "Content-Type: application/json\r\n"
+                             "Transfer-Encoding: chunked\r\n\r\n"
+                             "2\r\n{}\r\n0\r\n\r\n"));
+  WriteSeed(dir, "huge_declared_length.http",
+            std::string_view("POST /identify HTTP/1.1\r\nHost: x\r\n"
+                             "Content-Type: application/json\r\n"
+                             "Content-Length: 10485760\r\n\r\n"));
+  WriteSeed(dir, "malformed_length.http",
+            std::string_view("POST /identify HTTP/1.1\r\nHost: x\r\n"
+                             "Content-Type: application/json\r\n"
+                             "Content-Length: 2x\r\n\r\n{}"));
+  WriteSeed(dir, "long_request_line.http",
+            "GET /" + std::string(8192, 'a') + " HTTP/1.1\r\n\r\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -220,5 +251,6 @@ int main(int argc, char** argv) {
   EmitFeedSeeds(root / "vulnerability_db");
   EmitModelSeeds(root / "model_load");
   EmitIdentifyRequestSeeds(root / "identify_request");
+  EmitHttpRequestSeeds(root / "http_request");
   return 0;
 }

@@ -13,5 +13,5 @@ for arg in "$@"; do
 done
 
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-bench -j --target throughput_identify
+cmake --build build-bench -j "$(nproc)" --target throughput_identify
 ./build-bench/bench/throughput_identify ${QUICK} --json BENCH_identify.json

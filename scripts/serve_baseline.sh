@@ -16,5 +16,5 @@ for arg in "$@"; do
 done
 
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-bench -j --target load_serve
+cmake --build build-bench -j "$(nproc)" --target load_serve
 ./build-bench/bench/load_serve ${QUICK} --json BENCH_serve.json

@@ -12,5 +12,5 @@ for arg in "$@"; do
 done
 
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-bench -j --target soak_gateway
+cmake --build build-bench -j "$(nproc)" --target soak_gateway
 ./build-bench/bench/soak_gateway ${QUICK} --json BENCH_gateway.json

@@ -208,16 +208,10 @@ std::size_t MyersDistance(std::size_t pattern_length,
   return score;
 }
 
-namespace {
-
-// Shared banded program: T is either PacketFeatureVector (direct) or an
-// interned id (std::uint32_t). Only equality of elements is consumed, so
-// both instantiations compute the same distances.
-template <typename T>
-BoundedDistance BoundedEditDistanceImpl(std::span<const T> a,
-                                        std::span<const T> b,
-                                        std::size_t cutoff,
-                                        EditDistanceScratch& scratch) {
+BoundedDistance BoundedEditDistance(std::span<const std::uint32_t> a,
+                                    std::span<const std::uint32_t> b,
+                                    std::size_t cutoff,
+                                    EditDistanceScratch& scratch) {
   const std::size_t n = a.size();
   const std::size_t m = b.size();
   if (n == 0) return {m, m > cutoff};
@@ -278,15 +272,14 @@ BoundedDistance BoundedEditDistanceImpl(std::span<const T> a,
   return {d, d > cutoff};
 }
 
-// Cutoff selection shared by the two PrunedNormalizedEditDistance
-// overloads; Distance is invoked with the chosen cutoff only when pruning
-// cannot already be decided from the lengths alone.
-template <typename Distance>
-PrunedNormalized PrunedNormalizedImpl(std::size_t longest,
-                                      std::size_t external_lower_bound,
-                                      std::size_t external_upper_bound,
-                                      double partial_score, double best_score,
-                                      Distance&& bounded_distance) {
+PrunedNormalized PrunedNormalizedEditDistance(std::span<const std::uint32_t> a,
+                                              std::span<const std::uint32_t> b,
+                                              std::size_t external_lower_bound,
+                                              std::size_t external_upper_bound,
+                                              double partial_score,
+                                              double best_score,
+                                              EditDistanceScratch& scratch) {
+  const std::size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return {0.0, false};
   const double denominator = static_cast<double>(longest);
   // useful(d): could an exact distance of d still keep the candidate's
@@ -337,7 +330,8 @@ PrunedNormalized PrunedNormalizedImpl(std::size_t longest,
   // the true distance's width: the result is in band by construction, so
   // the program below returns the exact distance either way.
   const std::size_t run_cutoff = std::min(cutoff, external_upper_bound);
-  const BoundedDistance bounded = bounded_distance(run_cutoff);
+  const BoundedDistance bounded =
+      BoundedEditDistance(a, b, run_cutoff, scratch);
   SENTINEL_CHECK(!bounded.exceeded || run_cutoff == cutoff)
       << "banded program exceeded a certified upper bound " << run_cutoff;
   if (!bounded.exceeded) {
@@ -350,53 +344,6 @@ PrunedNormalized PrunedNormalizedImpl(std::size_t longest,
   // candidate's score stays strictly above best whatever the exact value
   // is; report the certified normalized lower bound.
   return {static_cast<double>(cutoff + 1) / denominator, true};
-}
-
-}  // namespace
-
-BoundedDistance BoundedEditDistance(std::span<const PacketFeatureVector> a,
-                                    std::span<const PacketFeatureVector> b,
-                                    std::size_t cutoff,
-                                    EditDistanceScratch& scratch) {
-  return BoundedEditDistanceImpl(a, b, cutoff, scratch);
-}
-
-BoundedDistance BoundedEditDistance(std::span<const std::uint32_t> a,
-                                    std::span<const std::uint32_t> b,
-                                    std::size_t cutoff,
-                                    EditDistanceScratch& scratch) {
-  return BoundedEditDistanceImpl(a, b, cutoff, scratch);
-}
-
-PrunedNormalized PrunedNormalizedEditDistance(const Fingerprint& a,
-                                              const Fingerprint& b,
-                                              double partial_score,
-                                              double best_score,
-                                              EditDistanceScratch& scratch) {
-  return PrunedNormalizedImpl(
-      std::max(a.size(), b.size()), 0,
-      std::numeric_limits<std::size_t>::max(), partial_score, best_score,
-      [&](std::size_t cutoff) {
-        return BoundedEditDistanceImpl(
-            std::span<const PacketFeatureVector>(a.packets()),
-            std::span<const PacketFeatureVector>(b.packets()), cutoff,
-            scratch);
-      });
-}
-
-PrunedNormalized PrunedNormalizedEditDistance(std::span<const std::uint32_t> a,
-                                              std::span<const std::uint32_t> b,
-                                              std::size_t external_lower_bound,
-                                              std::size_t external_upper_bound,
-                                              double partial_score,
-                                              double best_score,
-                                              EditDistanceScratch& scratch) {
-  return PrunedNormalizedImpl(
-      std::max(a.size(), b.size()), external_lower_bound,
-      external_upper_bound, partial_score, best_score,
-      [&](std::size_t cutoff) {
-        return BoundedEditDistanceImpl(a, b, cutoff, scratch);
-      });
 }
 
 }  // namespace sentinel::features

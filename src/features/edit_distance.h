@@ -7,16 +7,19 @@
 //
 // Two implementations share the recurrence:
 //  - EditDistance / NormalizedEditDistance: the reference full dynamic
-//    program (allocates its rows per call).
-//  - BoundedEditDistance / PrunedNormalizedEditDistance: the fast path —
-//    a length-difference lower bound plus Ukkonen band pruning around the
-//    diagonal (cells with |i - j| > cutoff cannot lie on any alignment of
-//    cost <= cutoff because d(i, j) >= |i - j|), with caller-owned scratch
-//    rows so repeated calls allocate nothing. When the distance is within
-//    the cutoff the banded program returns the exact value (bit-identical
-//    to the reference); otherwise it reports "exceeded" with a certified
-//    lower bound, which is what lets the identifier's tie-break skip
-//    reference fingerprints that cannot beat the current best candidate.
+//    program over packets (allocates its rows per call), kept as the
+//    oracle the fast path is tested against.
+//  - BoundedEditDistance / PrunedNormalizedEditDistance: the fast path the
+//    identifier's tie-break runs, over interned packet ids (see
+//    PacketInterner) — a length-difference lower bound plus Ukkonen band
+//    pruning around the diagonal (cells with |i - j| > cutoff cannot lie
+//    on any alignment of cost <= cutoff because d(i, j) >= |i - j|), with
+//    caller-owned scratch rows so repeated calls allocate nothing. When
+//    the distance is within the cutoff the banded program returns the
+//    exact value (bit-identical to the reference); otherwise it reports
+//    "exceeded" with a certified lower bound, which is what lets the
+//    tie-break skip reference fingerprints that cannot beat the current
+//    best candidate.
 #pragma once
 
 #include <cstddef>
@@ -150,18 +153,12 @@ struct BoundedDistance {
   bool exceeded = false;
 };
 
-/// Banded OSA distance: exact for distances <= cutoff, early-out
-/// otherwise. cutoff >= max(a.size, b.size) degenerates to the full
-/// (always-exact) program.
-BoundedDistance BoundedEditDistance(std::span<const PacketFeatureVector> a,
-                                    std::span<const PacketFeatureVector> b,
-                                    std::size_t cutoff,
-                                    EditDistanceScratch& scratch);
-
-/// Same program over interned id sequences (see PacketInterner): both
-/// spans must have been interned against one shared table, making id
-/// equality equivalent to packet equality — the returned distance is then
-/// identical to the packet-level one.
+/// Banded OSA distance over interned id sequences: exact for distances <=
+/// cutoff, early-out otherwise. cutoff >= max(a.size, b.size) degenerates
+/// to the full (always-exact) program. Both spans must have been interned
+/// against one shared PacketInterner table, making id equality equivalent
+/// to packet equality — the returned distance is then identical to
+/// EditDistance over the packets.
 BoundedDistance BoundedEditDistance(std::span<const std::uint32_t> a,
                                     std::span<const std::uint32_t> b,
                                     std::size_t cutoff,
@@ -177,27 +174,25 @@ struct PrunedNormalized {
   bool pruned = false;
 };
 
-/// Normalized edit distance with tie-break budget pruning. The caller is
-/// accumulating `partial_score` (sum of earlier reference distances, all
-/// >= 0) for a candidate competing against `best_score`; this reference
-/// can only matter if the candidate's final score could still be <=
-/// best_score. The cutoff translation into the integer distance domain is
-/// done with the exact floating-point comparisons the caller will perform
-/// (monotone in the distance), so the pruning decision is certain: a
-/// pruned reference could never have produced a score <= best_score, and
-/// in particular never a tie (the identifier's tie-break RNG stream is
-/// therefore unchanged). best_score = +infinity disables pruning.
-PrunedNormalized PrunedNormalizedEditDistance(const Fingerprint& a,
-                                              const Fingerprint& b,
-                                              double partial_score,
-                                              double best_score,
-                                              EditDistanceScratch& scratch);
-
-/// Id-sequence variant, for callers that interned both fingerprints
-/// against one shared PacketInterner table (references via Intern, the
-/// probe via InternReadOnly); id sequences preserve lengths, so
-/// normalization divides by the same longer length. It takes two
-/// caller-certified bounds on the absolute (unnormalized) distance:
+/// Normalized edit distance with tie-break budget pruning, over id
+/// sequences interned against one shared PacketInterner table (references
+/// via Intern, the probe via InternReadOnly); id sequences preserve
+/// lengths, so normalization divides by the same longer length.
+///
+/// The caller is accumulating `partial_score` (sum of earlier reference
+/// distances, all >= 0) for a candidate competing against `best_score`;
+/// this reference can only matter if the candidate's final score could
+/// still be <= best_score. The cutoff translation into the integer
+/// distance domain is done with the exact floating-point comparisons the
+/// caller will perform (monotone in the distance), so the pruning decision
+/// is certain: a pruned reference could never have produced a score <=
+/// best_score, and in particular never a tie (the identifier's tie-break
+/// RNG stream is therefore unchanged). Every non-pruned value is
+/// bit-identical to NormalizedEditDistance. best_score = +infinity
+/// disables pruning.
+///
+/// It also takes two caller-certified bounds on the absolute
+/// (unnormalized) distance:
 /// - a LOWER bound, e.g. the bag bound max(n, m) - |multiset
 ///   intersection|, valid for OSA because every kept element of an
 ///   alignment consumes one occurrence from each side while insertions
@@ -210,9 +205,6 @@ PrunedNormalized PrunedNormalizedEditDistance(const Fingerprint& a,
 ///   at it — the true distance is in band by construction, so the band
 ///   narrows to the distance's actual width with the result still exact.
 ///   Pass SIZE_MAX to disable.
-/// Otherwise the contract is the fingerprint overload's: a reference is
-/// skipped with a certified bound exactly when it cannot matter, and
-/// every non-pruned value is bit-identical to NormalizedEditDistance.
 /// Unsound bounds (lower or upper on the wrong side of the true distance)
 /// would break the pruning certificate — callers own that proof.
 PrunedNormalized PrunedNormalizedEditDistance(std::span<const std::uint32_t> a,

@@ -27,7 +27,8 @@ namespace {
 /// Most pipelined requests served per read burst; bounds per-connection
 /// memory against a client that never reads responses.
 constexpr std::size_t kMaxPipeline = 64;
-/// Header-block cap (shared by both serving modes).
+/// Header-block cap; a longer block is answered 400 and the connection
+/// closed.
 constexpr std::size_t kHeaderCap = 4096;
 
 const char* ReasonFor(int status) {
@@ -48,8 +49,7 @@ const char* ReasonFor(int status) {
 
 std::string HttpResponse(int status, const char* reason,
                          const char* content_type, const std::string& body,
-                         bool keep_alive = false,
-                         std::uint64_t retry_after_ms = 0) {
+                         bool keep_alive, std::uint64_t retry_after_ms = 0) {
   std::string out = "HTTP/1.1 " + std::to_string(status) + " " + reason +
                     "\r\nContent-Type: " + content_type +
                     "\r\nContent-Length: " + std::to_string(body.size());
@@ -61,9 +61,26 @@ std::string HttpResponse(int status, const char* reason,
   return out;
 }
 
-std::string NotFound(bool keep_alive = false) {
-  return HttpResponse(404, "Not Found", "text/plain; charset=utf-8",
-                      "not found\n", keep_alive);
+std::string PlainResponse(int status, const std::string& body,
+                          bool keep_alive) {
+  return HttpResponse(status, ReasonFor(status), "text/plain; charset=utf-8",
+                      body, keep_alive);
+}
+
+std::string NotFound(bool keep_alive) {
+  return PlainResponse(404, "not found\n", keep_alive);
+}
+
+std::string BodyTooLarge(std::size_t max_body_bytes, bool keep_alive) {
+  return PlainResponse(
+      413, "body exceeds " + std::to_string(max_body_bytes) + " bytes\n",
+      keep_alive);
+}
+
+std::string RenderPost(const PostResponse& response, bool keep_alive) {
+  return HttpResponse(response.status, ReasonFor(response.status),
+                      response.content_type.c_str(), response.body, keep_alive,
+                      response.retry_after_ms);
 }
 
 std::string_view Trim(std::string_view text) {
@@ -96,7 +113,10 @@ void DisableNagle(int connection_fd) {
 TelemetryServer::TelemetryServer(const MetricsRegistry* registry,
                                  const FlightRecorder* recorder,
                                  TelemetryServerConfig config)
-    : registry_(registry), recorder_(recorder), config_(config) {}
+    : registry_(registry), recorder_(recorder), config_(config) {
+  if (config_.serve_threads == 0)
+    throw std::invalid_argument("TelemetryServer: serve_threads must be >= 1");
+}
 
 TelemetryServer::~TelemetryServer() { Stop(); }
 
@@ -142,24 +162,8 @@ void TelemetryServer::Serve(std::size_t max_requests) {
     if (stopping_.load(std::memory_order_acquire)) return;
     throw std::runtime_error("TelemetryServer::Serve before Start");
   }
-  if (config_.serve_threads == 0) {
-    std::size_t served = 0;
-    while (!stopping_.load(std::memory_order_acquire)) {
-      const int connection = ::accept(fd, nullptr, nullptr);
-      if (connection < 0) {
-        if (errno == EINTR) continue;
-        break;  // Stop() closed the listen socket
-      }
-      DisableNagle(connection);
-      ServeConnection(connection);
-      ::close(connection);
-      if (max_requests > 0 && ++served >= max_requests) break;
-    }
-    return;
-  }
-
-  // Pool mode: the accept loop feeds a bounded handoff the connection
-  // handlers drain. All queue state is local — the workers are joined
+  // The accept loop feeds a bounded handoff the connection handlers
+  // drain. All queue state is local — the workers are joined
   // before Serve returns, so nothing outlives this frame.
   struct Handoff {
     sentinel::Mutex mu{"telemetry_server.handoff"};
@@ -183,7 +187,7 @@ void TelemetryServer::Serve(std::size_t max_requests) {
           connection = handoff.connections.front();
           handoff.connections.pop_front();
         }
-        ServeConnectionLoop(connection);
+        ServeConnection(connection);
         ::close(connection);
       }
     });
@@ -342,60 +346,7 @@ void TelemetryServer::SendAll(int connection_fd, const std::string& response) {
   }
 }
 
-void TelemetryServer::RespondHeaderOverflow(int connection_fd,
-                                            const std::string& buffer) {
-  // Pre-parser behaviour, kept intact: answer from the (possibly
-  // truncated) request line alone — hostile or broken peers get a plain
-  // routing answer, not a hung connection.
-  const std::size_t line_end = buffer.find("\r\n");
-  const std::string line =
-      line_end == std::string::npos ? buffer : buffer.substr(0, line_end);
-  std::string method;
-  std::string path;
-  const std::size_t first_space = line.find(' ');
-  if (first_space != std::string::npos) {
-    method = line.substr(0, first_space);
-    const std::size_t second_space = line.find(' ', first_space + 1);
-    path = line.substr(first_space + 1,
-                       second_space == std::string::npos
-                           ? std::string::npos
-                           : second_space - first_space - 1);
-  }
-  SendAll(connection_fd, HandleRequest(method, path));
-}
-
 void TelemetryServer::ServeConnection(int connection_fd) {
-  std::string buffer;
-  char chunk[2048];
-  HttpRequest request;
-  ParseStatus status = ParseStatus::kNeedMore;
-  for (;;) {
-    status = ParseOneRequest(buffer, request);
-    if (status != ParseStatus::kNeedMore) break;
-    const ssize_t n = ::recv(connection_fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-  if (status == ParseStatus::kNeedMore ||
-      status == ParseStatus::kHeaderOverflow) {
-    RespondHeaderOverflow(connection_fd, buffer);
-    return;
-  }
-  std::string response;
-  if (status == ParseStatus::kBodyTooLarge) {
-    response = HttpResponse(
-        413, ReasonFor(413), "text/plain; charset=utf-8",
-        "body exceeds " + std::to_string(config_.max_body_bytes) +
-            " bytes\n");
-  } else {
-    response = HandleHttpRequest(request);
-  }
-  SendAll(connection_fd, response);
-  SENTINEL_LOG_DEBUG("telemetry", "request", {"path", request.path},
-                     {"bytes", response.size()});
-}
-
-void TelemetryServer::ServeConnectionLoop(int connection_fd) {
   std::string buffer;
   // Sized so a deep pipelined burst of ~2 KB requests lands in few reads.
   char chunk[65536];
@@ -426,9 +377,8 @@ void TelemetryServer::ServeConnectionLoop(int connection_fd) {
                                burst.empty() ? 0 : MSG_DONTWAIT);
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         // Socket dry (burst in hand) or recv timeout (empty burst): leave
-        // the gather loop either way — an empty burst falls through with
-        // nothing to send and the OUTER loop re-checks stopping_, so
-        // Stop() is observed even on an idle keep-alive connection.
+        // the gather loop either way — the stopping_ check below then
+        // observes Stop() even on an idle keep-alive connection.
         break;
       }
       if (n <= 0) {
@@ -437,6 +387,9 @@ void TelemetryServer::ServeConnectionLoop(int connection_fd) {
       }
       buffer.append(chunk, static_cast<std::size_t>(n));
     }
+    // Stop() ends the connection after this burst, so the burst's last
+    // response says close.
+    if (stopping_.load(std::memory_order_acquire)) close_connection = true;
     if (burst.empty() && status == ParseStatus::kNeedMore &&
         !close_connection) {
       // A quiet period on an idle (or stalled mid-request) keep-alive
@@ -448,105 +401,87 @@ void TelemetryServer::ServeConnectionLoop(int connection_fd) {
       continue;
     }
     idle_periods = 0;
+    // A framing error leaves the rest of the stream unreadable: its 400 or
+    // 413 answer follows the burst and is the connection's last response.
+    const bool framing_error = status == ParseStatus::kHeaderOverflow ||
+                               status == ParseStatus::kBodyTooLarge;
+    // A response says close iff the connection closes right after it, so
+    // at most the burst's last response does.
+    const auto keep_alive = [&](std::size_t i) {
+      return !close_connection || framing_error || i + 1 < burst.size();
+    };
 
     // Phase 1: admit every POST of the burst into the backend before
-    // waiting on any verdict; GETs are answered inline. This is what
-    // turns W pipelined requests into one identification batch.
-    struct PendingSlot {
-      bool pending = false;
+    // waiting on any verdict; everything else is answered by the gate
+    // inline. This is what turns W pipelined requests into one
+    // identification batch.
+    struct Slot {
+      std::optional<std::string> response;  // nullopt: pending in backend
       std::uint64_t request_id = 0;
-      std::string response;
     };
-    std::vector<PendingSlot> slots;
+    std::vector<Slot> slots;
     slots.reserve(burst.size());
-    for (auto& request : burst) {
-      const bool keep_alive = !request.close_connection;
-      if (request.method == "POST" && post_routes_ != nullptr &&
-          IsPostPath(request.path) && !request.has_transfer_encoding &&
-          (request.has_content_length || !request.body.empty()) &&
-          request.body.size() <= config_.max_body_bytes &&
-          AcceptsContentType(request.content_type)) {
-        slots.push_back(
-            {.pending = true,
-             .request_id = post_routes_->Submit(
-                 request.path, request.content_type, std::move(request.body))});
-      } else {
-        slots.push_back(
-            {.response = HandleHttpRequestImpl(request, keep_alive)});
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+      auto& request = burst[i];
+      Slot slot{.response = Route(request, keep_alive(i))};
+      if (!slot.response) {
+        slot.request_id = post_routes_->Submit(
+            request.path, request.content_type, std::move(request.body));
       }
+      slots.push_back(std::move(slot));
     }
 
     // Phase 2: collect verdicts in request order, answer in one send.
     std::string out;
-    for (auto& slot : slots) {
-      if (!slot.pending) {
-        out += slot.response;
-        continue;
-      }
-      const PostResponse response = post_routes_->Collect(slot.request_id);
-      out += HttpResponse(response.status, ReasonFor(response.status),
-                          response.content_type.c_str(), response.body,
-                          !close_connection, response.retry_after_ms);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      out += slots[i].response
+                 ? *slots[i].response
+                 : RenderPost(post_routes_->Collect(slots[i].request_id),
+                              keep_alive(i));
     }
     if (status == ParseStatus::kHeaderOverflow) {
-      out += HttpResponse(400, ReasonFor(400), "text/plain; charset=utf-8",
-                          "header block too large\n");
-      close_connection = true;
+      out += PlainResponse(400, "header block too large\n",
+                           /*keep_alive=*/false);
     } else if (status == ParseStatus::kBodyTooLarge) {
-      out += HttpResponse(
-          413, ReasonFor(413), "text/plain; charset=utf-8",
-          "body exceeds " + std::to_string(config_.max_body_bytes) +
-              " bytes\n");
-      close_connection = true;
+      out += BodyTooLarge(config_.max_body_bytes, /*keep_alive=*/false);
     }
+    if (framing_error) close_connection = true;
     if (!out.empty()) SendAll(connection_fd, out);
   }
 }
 
 std::string TelemetryServer::HandleHttpRequest(
     const HttpRequest& request) const {
-  return HandleHttpRequestImpl(request, false);
+  if (auto response = Route(request, /*keep_alive=*/false)) return *response;
+  const std::uint64_t id = post_routes_->Submit(
+      request.path, request.content_type, request.body);
+  return RenderPost(post_routes_->Collect(id), /*keep_alive=*/false);
 }
 
-std::string TelemetryServer::HandleHttpRequestImpl(const HttpRequest& request,
-                                                   bool keep_alive) const {
-  const bool alive = keep_alive && !request.close_connection;
-  if (request.method == "GET") return HandlePathImpl(request.path, alive);
+std::optional<std::string> TelemetryServer::Route(const HttpRequest& request,
+                                                  bool keep_alive) const {
+  if (request.method == "GET") return HandlePathImpl(request.path, keep_alive);
   if (request.method != "POST" || post_routes_ == nullptr ||
       !IsPostPath(request.path)) {
-    return HttpResponse(405, ReasonFor(405), "text/plain; charset=utf-8",
-                        "only GET is supported\n", alive);
+    return PlainResponse(405, "only GET is supported\n", keep_alive);
   }
   // POST hardening, in rejection order: framing first (501/411/413 —
   // anything that makes the body unreadable or unreasonable), then the
   // media-type gate (415), then dispatch.
   if (request.has_transfer_encoding) {
-    return HttpResponse(501, ReasonFor(501), "text/plain; charset=utf-8",
-                        "Transfer-Encoding is not supported; send "
-                        "Content-Length\n");
+    return PlainResponse(
+        501, "Transfer-Encoding is not supported; send Content-Length\n",
+        keep_alive);
   }
-  if (!request.has_content_length && request.body.empty()) {
-    return HttpResponse(411, ReasonFor(411), "text/plain; charset=utf-8",
-                        "POST requires Content-Length\n");
+  if (!request.has_content_length && request.body.empty())
+    return PlainResponse(411, "POST requires Content-Length\n", keep_alive);
+  if (std::max(request.content_length, request.body.size()) >
+      config_.max_body_bytes) {
+    return BodyTooLarge(config_.max_body_bytes, keep_alive);
   }
-  const std::size_t declared =
-      std::max(request.content_length, request.body.size());
-  if (declared > config_.max_body_bytes) {
-    return HttpResponse(
-        413, ReasonFor(413), "text/plain; charset=utf-8",
-        "body exceeds " + std::to_string(config_.max_body_bytes) +
-            " bytes\n");
-  }
-  if (!AcceptsContentType(request.content_type)) {
-    return HttpResponse(415, ReasonFor(415), "text/plain; charset=utf-8",
-                        "unsupported media type\n", alive);
-  }
-  const std::uint64_t id = post_routes_->Submit(
-      request.path, request.content_type, request.body);
-  const PostResponse response = post_routes_->Collect(id);
-  return HttpResponse(response.status, ReasonFor(response.status),
-                      response.content_type.c_str(), response.body, alive,
-                      response.retry_after_ms);
+  if (!AcceptsContentType(request.content_type))
+    return PlainResponse(415, "unsupported media type\n", keep_alive);
+  return std::nullopt;
 }
 
 std::string TelemetryServer::HandleRequest(const std::string& method,
@@ -558,7 +493,7 @@ std::string TelemetryServer::HandleRequest(const std::string& method,
 }
 
 std::string TelemetryServer::HandlePath(const std::string& path) const {
-  return HandlePathImpl(path, false);
+  return HandlePathImpl(path, /*keep_alive=*/false);
 }
 
 std::string TelemetryServer::HandlePathImpl(const std::string& path,

@@ -161,6 +161,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EditDistanceProperties,
 
 // ---- Bounded / pruned fast path ---------------------------------------------
 
+/// Both sequences interned into one shared table — the form the fast path
+/// takes, where id equality is packet equality.
+struct InternedPair {
+  std::vector<std::uint32_t> a, b;
+};
+
+InternedPair InternPair(std::span<const PacketFeatureVector> a,
+                        std::span<const PacketFeatureVector> b) {
+  PacketInterner table;
+  InternedPair ids;
+  table.Intern(a, ids.a);
+  table.Intern(b, ids.b);
+  return ids;
+}
+
+/// The pruned distance between two fingerprints, external bounds disabled.
+PrunedNormalized Pruned(const Fingerprint& a, const Fingerprint& b,
+                        double partial_score, double best_score,
+                        EditDistanceScratch& scratch) {
+  const auto ids = InternPair(a.packets(), b.packets());
+  return PrunedNormalizedEditDistance(
+      ids.a, ids.b, 0, std::numeric_limits<std::size_t>::max(), partial_score,
+      best_score, scratch);
+}
+
 TEST(BoundedEditDistance, AgreesWithReferenceAcrossAllCutoffs) {
   std::mt19937_64 rng(424242);
   std::uniform_int_distribution<std::size_t> len_dist(0, 24);
@@ -178,8 +203,9 @@ TEST(BoundedEditDistance, AgreesWithReferenceAcrossAllCutoffs) {
     const auto b = random_seq();
     const std::size_t exact = EditDistance(a, b);
     const std::size_t max_len = std::max(a.size(), b.size());
+    const auto ids = InternPair(a, b);
     for (std::size_t cutoff = 0; cutoff <= max_len + 2; ++cutoff) {
-      const auto bounded = BoundedEditDistance(a, b, cutoff, scratch);
+      const auto bounded = BoundedEditDistance(ids.a, ids.b, cutoff, scratch);
       EXPECT_EQ(bounded.exceeded, exact > cutoff)
           << "exact=" << exact << " cutoff=" << cutoff;
       if (bounded.exceeded) {
@@ -197,7 +223,8 @@ TEST(BoundedEditDistance, LengthDifferencePrunesWithoutDpWork) {
   EditDistanceScratch scratch;
   const auto a = Seq({1, 2, 3, 4, 5, 6, 7, 8});
   const auto b = Seq({1, 2});
-  const auto bounded = BoundedEditDistance(a, b, 3, scratch);
+  const auto ids = InternPair(a, b);
+  const auto bounded = BoundedEditDistance(ids.a, ids.b, 3, scratch);
   EXPECT_TRUE(bounded.exceeded);
   EXPECT_EQ(bounded.distance, 6u);  // the exact length difference
 }
@@ -213,8 +240,8 @@ TEST(PrunedNormalizedEditDistance, InfiniteBestNeverPrunes) {
     for (auto& v : sb) v = Vec(tag_dist(rng));
     const auto fa = Fingerprint::FromPacketVectors(sa);
     const auto fb = Fingerprint::FromPacketVectors(sb);
-    const auto out = PrunedNormalizedEditDistance(
-        fa, fb, 1.25, std::numeric_limits<double>::infinity(), scratch);
+    const auto out =
+        Pruned(fa, fb, 1.25, std::numeric_limits<double>::infinity(), scratch);
     EXPECT_FALSE(out.pruned);
     EXPECT_EQ(out.value, NormalizedEditDistance(fa, fb));  // bitwise
   }
@@ -237,8 +264,7 @@ TEST(PrunedNormalizedEditDistance, ExactWhenCompetitiveBoundWhenNot) {
     const double exact = NormalizedEditDistance(fa, fb);
     const double partial = partial_dist(rng);
     const double best = best_dist(rng);
-    const auto out =
-        PrunedNormalizedEditDistance(fa, fb, partial, best, scratch);
+    const auto out = Pruned(fa, fb, partial, best, scratch);
     if (out.pruned) {
       ++pruned_seen;
       // Certified: the candidate's running score ends strictly above best
@@ -263,13 +289,13 @@ TEST(PrunedNormalizedEditDistance, ExactTieIsNeverPruned) {
   const auto fa = Fingerprint::FromPacketVectors(Seq({1, 2, 3, 4}));
   const auto fb = Fingerprint::FromPacketVectors(Seq({1, 9, 8, 4}));
   ASSERT_DOUBLE_EQ(NormalizedEditDistance(fa, fb), 0.5);
-  const auto out = PrunedNormalizedEditDistance(fa, fb, 0.0, 0.5, scratch);
+  const auto out = Pruned(fa, fb, 0.0, 0.5, scratch);
   EXPECT_FALSE(out.pruned);
   EXPECT_EQ(out.value, 0.5);
   // One representable step below the tie, the same pair must prune.
   const double below =
       std::nextafter(0.5, 0.0);
-  const auto pruned = PrunedNormalizedEditDistance(fa, fb, 0.0, below, scratch);
+  const auto pruned = Pruned(fa, fb, 0.0, below, scratch);
   EXPECT_TRUE(pruned.pruned);
   EXPECT_GT(pruned.value, below);
 }
@@ -321,7 +347,7 @@ TEST(PacketInterner, ReadOnlyInterningPreservesDistances) {
 TEST(PrunedNormalizedEditDistance, EmptyPairIsZeroAndUnpruned) {
   EditDistanceScratch scratch;
   const Fingerprint empty;
-  const auto out = PrunedNormalizedEditDistance(empty, empty, 0.3, 0.1, scratch);
+  const auto out = Pruned(empty, empty, 0.3, 0.1, scratch);
   EXPECT_FALSE(out.pruned);
   EXPECT_EQ(out.value, 0.0);
 }

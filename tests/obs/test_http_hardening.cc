@@ -2,8 +2,9 @@
 // per rejection class (405 unregistered path, 501 Transfer-Encoding,
 // 411 missing length, 413 oversized body, 415 wrong media type), plus
 // the dispatch contract with the two-phase PostRoutes backend: Retry-After
-// rendering, and — over a real socket in pooled mode — a pipelined burst
-// whose requests are all admitted before the first response is collected.
+// rendering, and — over a real socket — a pipelined burst whose requests
+// are all admitted before the first response is collected, and the
+// Connection rule: only the response the connection closes after says so.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -12,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -182,6 +184,30 @@ std::string RawRoundTrip(const TelemetryServer& server,
   return response;
 }
 
+/// Splits a response stream into its responses' header blocks, stepping
+/// over each body by its Content-Length.
+std::vector<std::string> ResponseHeads(const std::string& stream) {
+  std::vector<std::string> heads;
+  std::size_t pos = 0;
+  while (pos < stream.size()) {
+    const std::size_t end = stream.find("\r\n\r\n", pos);
+    if (end == std::string::npos) break;
+    std::string head = stream.substr(pos, end - pos);
+    const std::size_t length = head.find("Content-Length: ");
+    if (length == std::string::npos) break;
+    pos = end + 4 + std::stoul(head.substr(length + 16));
+    heads.push_back(std::move(head));
+  }
+  return heads;
+}
+
+/// Whether a response head carries `status` and says keep-alive or close.
+bool HeadIs(const std::string& head, int status, bool keep_alive) {
+  return head.rfind("HTTP/1.1 " + std::to_string(status) + " ", 0) == 0 &&
+         head.find(keep_alive ? "Connection: keep-alive"
+                              : "Connection: close") != std::string::npos;
+}
+
 std::string PipelinedPost(const std::string& body, bool close) {
   return "POST /identify HTTP/1.1\r\nHost: x\r\n"
          "Content-Type: application/json\r\n"
@@ -215,8 +241,44 @@ TEST(HttpHardeningTest, PipelinedPostsAdmitAsABurstAndRespondInOrder) {
   ASSERT_NE(third, std::string::npos);
   EXPECT_LT(first, second);
   EXPECT_LT(second, third);
-  // The burst carries the client's close: every response signals it.
-  EXPECT_NE(response.find("Connection: close"), std::string::npos);
+  // The burst carries the client's close: only its last response, the one
+  // the connection closes after, says so.
+  const auto heads = ResponseHeads(response);
+  ASSERT_EQ(heads.size(), 3u) << response;
+  EXPECT_TRUE(HeadIs(heads[0], 200, /*keep_alive=*/true)) << heads[0];
+  EXPECT_TRUE(HeadIs(heads[1], 200, /*keep_alive=*/true)) << heads[1];
+  EXPECT_TRUE(HeadIs(heads[2], 200, /*keep_alive=*/false)) << heads[2];
+}
+
+// Regression: a rejected POST used to answer "Connection: close" and then
+// keep serving the connection; a server that says close must not process
+// further requests (RFC 9112 section 9.6). A 411 leaves the stream in
+// sync, so the connection stays open and says so.
+TEST(HttpHardeningTest, RejectionKeepsThePipelineAliveAndSaysSo) {
+  FakePostRoutes backend;
+  TelemetryServer server(nullptr, nullptr, {.serve_threads = 1});
+  server.set_post_routes(&backend, {"/identify"}, {"application/json"});
+  server.Start();
+  std::thread serving([&] { server.Serve(/*max_requests=*/1); });
+  const std::string response = RawRoundTrip(
+      server,
+      "POST /identify HTTP/1.1\r\nHost: x\r\n"
+      "Content-Type: application/json\r\n\r\n"
+      "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+      "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  serving.join();
+  server.Stop();
+  const auto heads = ResponseHeads(response);
+  ASSERT_EQ(heads.size(), 3u) << response;
+  EXPECT_TRUE(HeadIs(heads[0], 411, /*keep_alive=*/true)) << heads[0];
+  EXPECT_TRUE(HeadIs(heads[1], 200, /*keep_alive=*/true)) << heads[1];
+  EXPECT_TRUE(HeadIs(heads[2], 200, /*keep_alive=*/false)) << heads[2];
+  EXPECT_TRUE(backend.submissions.empty());
+}
+
+TEST(HttpHardeningTest, ZeroServeThreadsIsRejected) {
+  EXPECT_THROW(TelemetryServer(nullptr, nullptr, {.serve_threads = 0}),
+               std::invalid_argument);
 }
 
 TEST(HttpHardeningTest, KeepAliveServesSequentialRequestsOnOneConnection) {

@@ -128,7 +128,9 @@ TEST(TraceDeterminismTest, TracingDoesNotChangeModelsOrVerdicts) {
     obs::ScopedSpan root(&tracer, "sentinel_identify");
     const auto b = traced.Identify(dataset.fingerprints[i], dataset.fixed[i]);
     EXPECT_EQ(a.type.has_value(), b.type.has_value());
-    if (a.type.has_value() && b.type.has_value()) EXPECT_EQ(*a.type, *b.type);
+    if (a.type.has_value() && b.type.has_value()) {
+      EXPECT_EQ(*a.type, *b.type);
+    }
     ASSERT_EQ(a.bank_probabilities.size(), b.bank_probabilities.size());
     for (std::size_t k = 0; k < a.bank_probabilities.size(); ++k)
       EXPECT_DOUBLE_EQ(a.bank_probabilities[k], b.bank_probabilities[k]);

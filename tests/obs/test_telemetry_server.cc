@@ -227,7 +227,10 @@ TEST(TelemetryServerTest, LoopbackRoundTripOnEphemeralPort) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  const std::string request = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+  // Every connection is keep-alive; asking for close ends it after the
+  // one response, so reading until EOF returns promptly.
+  const std::string request =
+      "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
   ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
   std::string response;
@@ -245,9 +248,10 @@ TEST(TelemetryServerTest, LoopbackRoundTripOnEphemeralPort) {
 }
 
 /// Sends one raw request to `server` (already Start()ed, Serve()ing one
-/// request on another thread) and returns the full response.
+/// request on another thread) and returns the full response. With
+/// `half_close` the client shuts its sending side down after the request.
 std::string RawRoundTrip(const TelemetryServer& server,
-                         const std::string& request) {
+                         const std::string& request, bool half_close = false) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -258,6 +262,7 @@ std::string RawRoundTrip(const TelemetryServer& server,
             0);
   EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
             static_cast<ssize_t>(request.size()));
+  if (half_close) ::shutdown(fd, SHUT_WR);
   std::string response;
   char buffer[4096];
   for (;;) {
@@ -274,8 +279,9 @@ TEST(TelemetryServerTest, PostOverSocketIs405) {
   TelemetryServer server(&registry, nullptr);
   server.Start();
   std::thread serving([&] { server.Serve(/*max_requests=*/1); });
-  const std::string response =
-      RawRoundTrip(server, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+  const std::string response = RawRoundTrip(
+      server,
+      "POST /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
   serving.join();
   server.Stop();
   EXPECT_NE(response.find("HTTP/1.1 405"), std::string::npos);
@@ -289,14 +295,29 @@ TEST(TelemetryServerTest, OversizedRequestLineIsCutOffNotServed) {
   server.Start();
   std::thread serving([&] { server.Serve(/*max_requests=*/1); });
   // A request line far beyond the 4 KiB header cap: the server must cut it
-  // off and answer (404), never hang or serve the metrics body.
+  // off and answer 400 with a close, never hang or serve the metrics body.
   const std::string response = RawRoundTrip(
       server,
       "GET /" + std::string(8192, 'a') + " HTTP/1.1\r\nHost: x\r\n\r\n");
   serving.join();
   server.Stop();
-  EXPECT_NE(response.find("HTTP/1.1 404"), std::string::npos);
+  EXPECT_EQ(response.rfind("HTTP/1.1 400", 0), 0u) << response;
+  EXPECT_NE(response.find("Connection: close"), std::string::npos);
   EXPECT_EQ(response.find("sentinel_secret_total"), std::string::npos);
+}
+
+TEST(TelemetryServerTest, PeerClosingMidRequestGetsNoAnswer) {
+  TelemetryServer server(nullptr, nullptr);
+  server.Start();
+  std::thread serving([&] { server.Serve(/*max_requests=*/1); });
+  // The header block never ends: the request is incomplete, so it is not
+  // served — the server closes without answering.
+  const std::string response =
+      RawRoundTrip(server, "GET /metrics HTTP/1.1\r\nHost: x\r\n",
+                   /*half_close=*/true);
+  serving.join();
+  server.Stop();
+  EXPECT_EQ(response, "");
 }
 
 TEST(TelemetryServerTest, StopUnblocksServe) {

@@ -191,6 +191,8 @@ Options ParseOptions(int argc, char** argv, int first) {
       options.max_body_bytes = std::stoul(next_value());
     } else if (arg == "--serve-threads") {
       options.serve_threads = std::stoul(next_value());
+      if (options.serve_threads == 0)
+        throw std::runtime_error("--serve-threads: must be >= 1");
     } else if (arg.rfind("--", 0) == 0) {
       throw std::runtime_error("unknown option " + arg);
     } else {
@@ -980,8 +982,8 @@ int Usage() {
       "      thread or a connection handler waiting on its verdict --\n"
       "      takes everything queued, up to --batch-target probes, through\n"
       "      the batch identifier; nothing waits for a batch to fill.\n"
-      "      --serve-threads connection handlers give keep-alive +\n"
-      "      pipelining; 0 falls back to one-at-a-time.\n"
+      "      --serve-threads connection handlers (default 4, at least 1)\n"
+      "      give keep-alive + pipelining.\n"
       "  alerts [--seed S] [--json]\n"
       "      Run the firmware-drift scenario: one type's traffic shape\n"
       "      ramps away from its baseline while a control type stays\n"
