@@ -41,8 +41,8 @@ inline std::size_t ArgCount(int argc, char** argv, std::size_t fallback) {
 /// (thread pools and the instrumented pipeline then report into it) and
 /// writes the Prometheus exposition on destruction; without either the
 /// registry stays null and bench output is byte-identical. The profiler
-/// half is always on — every bench run captures the frame tree behind
-/// SENTINEL_PROFILE_SCOPE (overhead gated at <=2% by throughput_identify)
+/// half is always on — every bench run captures the frame tree of the
+/// stage scopes (overhead gated at <=2% by throughput_identify)
 /// so the machine-readable baselines can carry an observability summary.
 class MetricsSession {
  public:

@@ -16,7 +16,9 @@
 #include "net/pcap.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "obs/quality.h"
+#include "obs/stage.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sdn/flow_table.h"
@@ -269,12 +271,32 @@ BENCHMARK(BM_PcapEncodeDecode);
 // Cost of a span site per tracing mode (range(0)): 0 = detached (no
 // tracer anywhere — the single-branch contract every per-packet call site
 // pays), 1 = attached root span, 2 = attached root + nested child with
-// two args (the shape of the per-device identify stage).
+// two args (the shape of the per-device identify stage). The stage modes
+// time the pipeline's one instrument, a StageScope: 3 = detached (the
+// per-frame ingress shape with no histogram, profiler or trace context:
+// no clock read), 4 = every sink attached (the capture shape: histogram,
+// profiler, and a span on a device trace).
 void BM_TraceOverhead(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   obs::Tracer tracer;
+  obs::MetricsRegistry registry;
+  obs::Histogram* capture_ns =
+      obs::StageHistogram(&registry, obs::Stage::kCapture);
+  obs::Profiler profiler;
+  obs::ScopedProfiler scoped_profiler(mode == 4 ? &profiler : nullptr);
   for (auto _ : state) {
     switch (mode) {
+      case 3: {
+        obs::StageScope stage(obs::Stage::kIngress);
+        benchmark::DoNotOptimize(stage.traced());
+        break;
+      }
+      case 4: {
+        obs::StageScope stage(obs::Stage::kCapture, capture_ns, &tracer);
+        stage.JoinTrace(1);
+        benchmark::DoNotOptimize(stage.traced());
+        break;
+      }
       case 0: {
         obs::ScopedSpan span("sentinel_bench_detached");
         benchmark::DoNotOptimize(span.enabled());
@@ -296,7 +318,7 @@ void BM_TraceOverhead(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
 // Cost of the quality monitor at a verdict site (same contract as
 // BM_TraceOverhead): 0 = detached — the single null-pointer branch every

@@ -304,12 +304,13 @@ int main(int argc, char** argv) {
         << "% single-probe throughput (budget: 2%)";
   }
 
-  // Enabled-profiler overhead guard: the hot identification path crosses
-  // SENTINEL_PROFILE_SCOPE on every call, so an installed profiler must
-  // cost at most the same 2% budget as the quality monitor. Same
-  // paired-slice-median protocol: each pair times attached and detached
-  // back to back in alternating order, and the median per-pair ratio
-  // discards pairs hit by preemption or frequency drift.
+  // Enabled-profiler overhead guard: the hot identification path opens
+  // its bank-scan (and tie-break) stage frames on every call, so an
+  // installed profiler must cost at most the same 2% budget as the
+  // quality monitor. Same paired-slice-median protocol: each pair times
+  // attached and detached back to back in alternating order, and the
+  // median per-pair ratio discards pairs hit by preemption or frequency
+  // drift.
   double profiler_off_ips = 0.0;
   double profiler_on_ips = 0.0;
   {

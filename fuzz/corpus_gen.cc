@@ -9,6 +9,8 @@
 //     -> <out_root>/model_load/*       seeds for fuzz_model_load
 //     -> <out_root>/identify_request/* seeds for fuzz_identify_request
 //     -> <out_root>/http_request/*     seeds for fuzz_http_request
+//     -> <out_root>/dns_message/*      seeds for fuzz_dns_message
+//     -> <out_root>/dhcp_message/*     seeds for fuzz_dhcp_message
 //
 // The seeds are checked in under fuzz/corpus/ so fuzz runs start from
 // structurally valid inputs (plus a few near-valid negatives); regenerate
@@ -27,6 +29,8 @@
 #include "features/fingerprint.h"
 #include "features/fingerprint_codec.h"
 #include "net/byte_io.h"
+#include "net/dhcp.h"
+#include "net/dns.h"
 #include "net/frame.h"
 #include "net/pcap.h"
 
@@ -240,6 +244,55 @@ void EmitHttpRequestSeeds(const fs::path& dir) {
             "GET /" + std::string(8192, 'a') + " HTTP/1.1\r\n\r\n");
 }
 
+/// One offset byte (where fuzz_dns_message starts its DecodeDnsName)
+/// followed by a DNS message: a device's query, the gateway's answer,
+/// an mDNS announcement with a compressed-name reference, and a message
+/// whose name pointer points at itself.
+void EmitDnsSeeds(const fs::path& dir) {
+  const auto seed = [&](const std::string& name, std::uint8_t offset,
+                        const net::DnsMessage& message) {
+    net::ByteWriter w;
+    w.WriteU8(offset);
+    message.Encode(w);
+    WriteSeed(dir, name, w.bytes());
+  };
+  const auto query = net::DnsMessage::Query(0x1234, "time.nist.gov");
+  seed("query.dns", 12, query);
+  seed("response.dns", 12,
+       net::DnsMessage::Response(query, net::Ipv4Address(192, 0, 2, 7)));
+  seed("mdns_announce.dns", 12,
+       net::DnsMessage::MdnsAnnounce("hue-bridge", "_hue._tcp.local",
+                                     net::Ipv4Address(10, 0, 0, 2)));
+  // Header with one question whose name is a pointer to offset 12, itself.
+  const std::vector<std::uint8_t> loop = {12,   0x00, 0x01, 0x01, 0x00, 0x00,
+                                          0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+                                          0x00, 0xc0, 0x0c, 0x00, 0x01, 0x00,
+                                          0x01};
+  WriteSeed(dir, "pointer_loop.dns", loop);
+}
+
+/// DHCP payloads as a joining device sends them: DISCOVER, REQUEST, a
+/// plain BOOTP request, and a DISCOVER with a corrupted magic cookie.
+void EmitDhcpSeeds(const fs::path& dir) {
+  const net::MacAddress mac({0x02, 0x00, 0x00, 0x00, 0x00, 0x01});
+  const auto seed = [&](const std::string& name,
+                        const net::DhcpMessage& message) {
+    net::ByteWriter w;
+    message.Encode(w);
+    WriteSeed(dir, name, w.bytes());
+    return std::move(w).Take();
+  };
+  auto discover = seed(
+      "discover.dhcp",
+      net::DhcpMessage::Discover(mac, 0xdeadbeef, "cam", {1, 3, 6, 15}));
+  seed("request.dhcp",
+       net::DhcpMessage::Request(mac, 0xdeadbeef, net::Ipv4Address(10, 0, 0, 2),
+                                 net::Ipv4Address(10, 0, 0, 1), "cam"));
+  seed("bootp.dhcp", net::DhcpMessage::BootpRequest(mac, 0x00c0ffee));
+  discover[236] ^= 0xff;  // first byte of the magic cookie
+  WriteSeed(dir, "bad_cookie.dhcp", discover);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,5 +305,7 @@ int main(int argc, char** argv) {
   EmitModelSeeds(root / "model_load");
   EmitIdentifyRequestSeeds(root / "identify_request");
   EmitHttpRequestSeeds(root / "http_request");
+  EmitDnsSeeds(root / "dns_message");
+  EmitDhcpSeeds(root / "dhcp_message");
   return 0;
 }

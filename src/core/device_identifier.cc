@@ -10,9 +10,7 @@
 #include <stdexcept>
 
 #include "obs/log.h"
-#include "obs/profiler.h"
-#include "obs/scoped_timer.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace sentinel::core {
 
@@ -43,15 +41,10 @@ void DeviceIdentifier::set_metrics(obs::MetricsRegistry* registry) {
     handles_ = IdentifierMetrics{};
     return;
   }
-  handles_.bank_train_ns = &registry->GetHistogram(
-      "sentinel_identifier_bank_train_ns",
-      "wall time to train the full per-type classifier bank");
-  handles_.classification_ns = &registry->GetHistogram(
-      "sentinel_identifier_classification_ns",
-      "stage-1 classifier-bank scan time per fingerprint");
-  handles_.discrimination_ns = &registry->GetHistogram(
-      "sentinel_identifier_discrimination_ns",
-      "stage-2 edit-distance discrimination time per fingerprint");
+  handles_.bank_train_ns =
+      obs::StageHistogram(registry, obs::Stage::kBankTrain);
+  handles_.bank_scan_ns = obs::StageHistogram(registry, obs::Stage::kBankScan);
+  handles_.tie_break_ns = obs::StageHistogram(registry, obs::Stage::kTieBreak);
   handles_.identify_total = &registry->GetCounter(
       "sentinel_identifier_identify_total", "fingerprints identified");
   handles_.unknown_total = &registry->GetCounter(
@@ -183,7 +176,7 @@ void DeviceIdentifier::CompileTieBreakIndex() {
 }
 
 void DeviceIdentifier::Train(const std::vector<LabelledFingerprint>& examples) {
-  obs::ScopedTimer bank_timer(handles_.bank_train_ns);
+  obs::StageScope stage(obs::Stage::kBankTrain, handles_.bank_train_ns);
   types_.clear();
   labels_.clear();
 
@@ -212,10 +205,9 @@ void DeviceIdentifier::Train(const std::vector<LabelledFingerprint>& examples) {
   const obs::TraceContext trace_parent = obs::CurrentTraceContext();
   util::ParallelFor(pool_, ordered_labels.size(), [&](std::size_t j) {
     obs::ScopedTraceContext trace_carry(trace_parent);
-    obs::ScopedSpan type_span("sentinel_identifier_train_type");
+    obs::StageScope type_stage(obs::Stage::kTypeTrain);
     const int label = ordered_labels[j];
-    if (type_span.enabled())
-      type_span.AddArg("label", std::to_string(label));
+    if (type_stage.traced()) type_stage.AddArg("label", std::to_string(label));
     const auto& positive_indices = by_label.at(label);
     std::vector<LabelledFingerprint> positives;
     std::vector<const std::vector<double>*> positive_rows;
@@ -304,53 +296,45 @@ IdentificationResult DeviceIdentifier::Identify(
 void DeviceIdentifier::IdentifyProbe(const features::Fingerprint& full,
                                      const features::FixedFingerprint& fixed,
                                      IdentificationResult& result) const {
-  // The stage clock reads also bound the profiler frame, so an attached
-  // profiler adds no clock reads of its own.
-  auto now = Clock::now();
-  obs::ProfileScope profile("identify.probe", now);
+  // The probe's own clock reads time both stages, so the stage timings it
+  // returns and every attached sink share them: two reads per probe, three
+  // with a tie-break, whatever is attached.
+  const auto scan_start = Clock::now();
+  obs::StageScope bank_scan(obs::Stage::kBankScan, handles_.bank_scan_ns,
+                            scan_start);
   result.acceptance_threshold = config_.acceptance_threshold;
-  obs::ScopedSpan bank_span("sentinel_identifier_bank_scan");
   // F' is already a contiguous double array — the compiled bank consumes
   // it in place, with no per-probe ToVector() allocation.
   const auto leaders = ScanBank(fixed.values(), result);
-  auto end = Clock::now();
-  result.classification_time = end - now;
-  if (bank_span.enabled()) {
-    bank_span.AddArg("types", std::to_string(types_.size()));
-    bank_span.AddArg("matches", std::to_string(result.matched_types.size()));
+  const auto scan_end = Clock::now();
+  result.classification_time = scan_end - scan_start;
+  if (bank_scan.traced()) {
+    bank_scan.AddArg("types", std::to_string(types_.size()));
+    bank_scan.AddArg("matches", std::to_string(result.matched_types.size()));
   }
-  bank_span.End();
-  if (handles_.classification_ns != nullptr) {
-    handles_.classification_ns->Observe(
-        static_cast<double>(result.classification_time.count()));
-  }
+  bank_scan.End(scan_end);
 
   if (result.matched_types.empty()) {  // unknown device-type
     SENTINEL_LOG_DEBUG("identifier", "identified", {"outcome", "unknown"},
                        {"matches", std::size_t{0}});
   } else {
-    now = end;
-    obs::ScopedSpan tiebreak_span("sentinel_stage_tie_break");
+    obs::StageScope tie_break(obs::Stage::kTieBreak, handles_.tie_break_ns,
+                              scan_end);
     const std::size_t pruned_references = Discriminate(full, result);
-    end = Clock::now();
-    result.discrimination_time = end - now;
-    if (tiebreak_span.enabled()) {
-      tiebreak_span.AddArg("candidates",
-                           std::to_string(result.matched_types.size()));
-      tiebreak_span.AddArg("edit_distances",
-                           std::to_string(result.edit_distance_count));
-      tiebreak_span.AddArg("pruned", std::to_string(pruned_references));
-      tiebreak_span.AddArg("best_label", result.type.has_value()
-                                             ? std::to_string(*result.type)
-                                             : std::string("rejected"));
+    const auto tie_break_end = Clock::now();
+    result.discrimination_time = tie_break_end - scan_end;
+    if (tie_break.traced()) {
+      tie_break.AddArg("candidates",
+                       std::to_string(result.matched_types.size()));
+      tie_break.AddArg("edit_distances",
+                       std::to_string(result.edit_distance_count));
+      tie_break.AddArg("pruned", std::to_string(pruned_references));
+      tie_break.AddArg("best_label", result.type.has_value()
+                                         ? std::to_string(*result.type)
+                                         : std::string("rejected"));
     }
-    tiebreak_span.End();
-    if (handles_.discrimination_ns != nullptr) {
-      handles_.discrimination_ns->Observe(
-          static_cast<double>(result.discrimination_time.count()));
-    }
+    tie_break.End(tie_break_end);
   }
-  profile.Close(end);
   RecordQuality(result, leaders);
 }
 

@@ -236,8 +236,8 @@ class DeviceIdentifier {
   /// registry is attached, so each hot-path record is a single branch.
   struct IdentifierMetrics {
     obs::Histogram* bank_train_ns = nullptr;
-    obs::Histogram* classification_ns = nullptr;
-    obs::Histogram* discrimination_ns = nullptr;
+    obs::Histogram* bank_scan_ns = nullptr;
+    obs::Histogram* tie_break_ns = nullptr;
     obs::Counter* identify_total = nullptr;
     obs::Counter* unknown_total = nullptr;
     obs::Counter* multi_match_total = nullptr;
@@ -248,8 +248,9 @@ class DeviceIdentifier {
     obs::Gauge* types = nullptr;
   };
 
-  /// The kernel for one probe: both stages with their timings, spans,
-  /// histograms, profiler frame and quality sample; not the counters.
+  /// The kernel for one probe: both stages (bank scan, tie-break) with
+  /// their timings and stage scopes, and the quality sample; not the
+  /// counters.
   void IdentifyProbe(const features::Fingerprint& full,
                      const features::FixedFingerprint& fixed,
                      IdentificationResult& result) const;

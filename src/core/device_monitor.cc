@@ -1,8 +1,7 @@
 #include "core/device_monitor.h"
 
 #include "obs/log.h"
-#include "obs/profiler.h"
-#include "obs/scoped_timer.h"
+#include "obs/stage.h"
 #include "util/shard.h"
 
 namespace sentinel::core {
@@ -34,12 +33,9 @@ void DeviceMonitor::set_metrics(obs::MetricsRegistry* registry) {
     handles_ = MonitorMetrics{};
     return;
   }
-  handles_.capture_ns = &registry->GetHistogram(
-      "sentinel_stage_capture_ns",
-      "per-packet setup-phase capture time (tracking + feature extraction)");
-  handles_.fingerprint_ns = &registry->GetHistogram(
-      "sentinel_stage_fingerprint_ns",
-      "fingerprint assembly time when a setup phase completes");
+  handles_.capture_ns = obs::StageHistogram(registry, obs::Stage::kCapture);
+  handles_.fingerprint_ns =
+      obs::StageHistogram(registry, obs::Stage::kFingerprint);
   handles_.packets_total = &registry->GetCounter(
       "sentinel_monitor_packets_total", "packets observed by the monitor");
   handles_.captures_total = &registry->GetCounter(
@@ -85,8 +81,7 @@ bool DeviceMonitor::EvictOneSession(Shard& shard) {
 
 std::optional<CompletedCapture> DeviceMonitor::Observe(
     const net::ParsedPacket& packet) {
-  obs::ScopedTimer capture_timer(handles_.capture_ns);
-  SENTINEL_PROFILE_SCOPE("capture.observe");
+  obs::StageScope capture(obs::Stage::kCapture, handles_.capture_ns, tracer_);
   if (handles_.packets_total != nullptr) handles_.packets_total->Increment();
   Shard& shard = ShardFor(packet.src_mac);
   MutexLock lock(shard.mutex);
@@ -118,8 +113,7 @@ std::optional<CompletedCapture> DeviceMonitor::Observe(
   }
   if (state.fingerprinted) return std::nullopt;
 
-  obs::ScopedSpan capture_span(tracer_, "sentinel_stage_capture",
-                               state.trace_id);
+  capture.JoinTrace(state.trace_id);
   const bool accepted = state.tracker.Offer(packet);
   if (recorder_ != nullptr) {
     recorder_->Record(packet.src_mac,
@@ -130,14 +124,10 @@ std::optional<CompletedCapture> DeviceMonitor::Observe(
   if (accepted) {
     state.vectors.push_back(state.extractor.Extract(packet));
     if (!state.tracker.Done()) return std::nullopt;
-    // max_packets reached: the phase ends with this packet included.
-    capture_timer.Stop();  // fingerprint assembly is its own stage
-    capture_span.End();
-    return Finish(packet.src_mac, state);
   }
-  // The packet arrived after the idle gap: the setup phase ended before it.
-  capture_timer.Stop();
-  capture_span.End();
+  // The phase ended: at max_packets with this packet included, or before
+  // this packet, which arrived after the idle gap.
+  capture.End();  // fingerprint assembly is its own stage
   return Finish(packet.src_mac, state);
 }
 
@@ -206,10 +196,9 @@ obs::TraceId DeviceMonitor::trace_id(const net::MacAddress& mac) const {
 
 CompletedCapture DeviceMonitor::Finish(const net::MacAddress& mac,
                                        DeviceState& state) {
-  obs::ScopedSpan fingerprint_span(tracer_, "sentinel_stage_fingerprint",
-                                   state.trace_id);
-  obs::ScopedTimer fingerprint_timer(handles_.fingerprint_ns);
-  SENTINEL_PROFILE_SCOPE("fingerprint.assemble");
+  obs::StageScope fingerprint(obs::Stage::kFingerprint,
+                              handles_.fingerprint_ns, tracer_);
+  fingerprint.JoinTrace(state.trace_id);
   state.fingerprinted = true;
   CompletedCapture capture;
   capture.device_mac = mac;
@@ -220,11 +209,11 @@ CompletedCapture DeviceMonitor::Finish(const net::MacAddress& mac,
   state.vectors.clear();
   state.vectors.shrink_to_fit();
   if (handles_.captures_total != nullptr) handles_.captures_total->Increment();
-  if (fingerprint_span.enabled()) {
-    fingerprint_span.AddArg("packets", std::to_string(capture.packet_count));
-    fingerprint_span.AddArg("f_rows", std::to_string(capture.full.size()));
-    fingerprint_span.AddArg(
-        "f_prime_packets", std::to_string(capture.fixed.packet_count()));
+  if (fingerprint.traced()) {
+    fingerprint.AddArg("packets", std::to_string(capture.packet_count));
+    fingerprint.AddArg("f_rows", std::to_string(capture.full.size()));
+    fingerprint.AddArg("f_prime_packets",
+                       std::to_string(capture.fixed.packet_count()));
   }
   if (recorder_ != nullptr) {
     recorder_->Record(mac,

@@ -88,10 +88,8 @@ class DeviceMonitor {
   /// path, not packet path.
   [[nodiscard]] std::size_t MemoryBytes() const;
 
-  /// Attaches capture/fingerprint telemetry: the `sentinel_stage_capture_ns`
-  /// histogram (per-packet setup-phase bookkeeping + feature extraction),
-  /// the `sentinel_stage_fingerprint_ns` histogram (fingerprint assembly
-  /// when a setup phase completes), packet/capture/eviction counters and
+  /// Attaches capture/fingerprint telemetry: the capture and fingerprint
+  /// stage histograms (obs/stage.h), packet/capture/eviction counters and
   /// the tracked-devices gauge. nullptr detaches; the uninstrumented path
   /// takes no clock reads.
   void set_metrics(obs::MetricsRegistry* registry);

@@ -1,9 +1,7 @@
 #include "core/enforcement.h"
 
 #include "obs/log.h"
-#include "obs/profiler.h"
-#include "obs/scoped_timer.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "util/shard.h"
 
 namespace sentinel::core {
@@ -31,9 +29,7 @@ void EnforcementEngine::set_metrics(obs::MetricsRegistry* registry) {
     handles_ = EnforcementMetrics{};
     return;
   }
-  handles_.enforce_ns = &registry->GetHistogram(
-      "sentinel_stage_enforce_ns",
-      "enforcement-rule installation time per identified device");
+  handles_.enforce_ns = obs::StageHistogram(registry, obs::Stage::kEnforce);
   handles_.rules_strict_total = &registry->GetCounter(
       "sentinel_enforce_rules_strict_total",
       "enforcement rules installed at strict isolation");
@@ -56,13 +52,11 @@ void EnforcementEngine::set_metrics(obs::MetricsRegistry* registry) {
 void EnforcementEngine::Install(EnforcementRule rule) {
   // Context-only span: nests under the module's per-device root span when
   // one is active (the engine itself needs no tracer wiring).
-  obs::ScopedSpan enforce_span("sentinel_stage_enforce");
-  if (enforce_span.enabled()) {
-    enforce_span.AddArg("mac", rule.device_mac.ToString());
-    enforce_span.AddArg("level", ToString(rule.level));
+  obs::StageScope stage(obs::Stage::kEnforce, handles_.enforce_ns);
+  if (stage.traced()) {
+    stage.AddArg("mac", rule.device_mac.ToString());
+    stage.AddArg("level", ToString(rule.level));
   }
-  obs::ScopedTimer enforce_timer(handles_.enforce_ns);
-  SENTINEL_PROFILE_SCOPE("enforce.install");
   if (handles_.rules_strict_total != nullptr) {
     switch (rule.level) {
       case IsolationLevel::kStrict:

@@ -89,8 +89,8 @@ class EnforcementEngine {
     return evicted_.load(std::memory_order_relaxed);
   }
 
-  /// Attaches enforcement telemetry: the `sentinel_stage_enforce_ns`
-  /// histogram (rule installation time), per-isolation-level install
+  /// Attaches enforcement telemetry: the enforce stage's histogram (rule
+  /// installation time, obs/stage.h), per-isolation-level install
   /// counters, the denied-flows counter, the eviction counter, and the
   /// rule-cache size gauge. nullptr detaches; the uninstrumented path
   /// takes no clock reads.

@@ -74,9 +74,9 @@ class SecurityGateway {
 
   /// Attaches one metrics registry across the whole gateway: datapath
   /// (switch + flow table), Sentinel module (monitor + identify stage) and
-  /// enforcement engine. The pipeline-stage histograms
-  /// `sentinel_stage_{capture,fingerprint,identify,enforce}_ns` all come
-  /// live through this one call. nullptr detaches everything. Runtime
+  /// enforcement engine. The stage histograms of the stage table
+  /// (obs/stage.h), ingress through enforce, all come live through this
+  /// one call. nullptr detaches everything. Runtime
   /// wiring only — nothing here alters forwarding or identification
   /// results.
   void set_metrics(obs::MetricsRegistry* registry) {
@@ -87,9 +87,10 @@ class SecurityGateway {
   }
 
   /// Attaches decision-provenance tracing across the gateway: the Sentinel
-  /// module (and its monitor) assign one trace id per device and the
-  /// capture → fingerprint → identify → tie-break → enforce spans all nest
-  /// under it. nullptr detaches; untraced runs stay bit-identical.
+  /// module (and its monitor) assign one trace id per device, and its
+  /// capture, fingerprint and identify_enforce stages (identify, bank
+  /// scan, tie-break and enforce nested) all join it. nullptr detaches;
+  /// untraced runs stay bit-identical.
   void set_tracer(obs::Tracer* tracer) { module_->set_tracer(tracer); }
   /// Attaches the per-device flight recorder journaling every device's
   /// identification story (served by `sentinelctl serve` under

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "features/fingerprint_codec.h"
 #include "net/byte_io.h"
 #include "obs/json.h"
+#include "obs/profiler.h"
 #include "util/json.h"
 
 namespace sentinel::core {
@@ -25,13 +25,6 @@ constexpr std::size_t kMinIngestPackets = 4;
 /// Per-probe service time Retry-After assumes before any batch has been
 /// measured.
 constexpr double kFallbackServiceNs = 1e6;  // 1 ms
-
-std::uint64_t NowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Shortest-round-trip decimal form, deterministic for a given double —
 /// the serve and per-call renderers must produce identical bytes for
@@ -145,7 +138,7 @@ std::uint64_t IdentifyServer::RetryAfterMsLocked() const {
 IdentifyServer::Submission IdentifyServer::SubmitProbe(
     const net::MacAddress& mac, features::Fingerprint full,
     features::FixedFingerprint fixed) {
-  const std::uint64_t now = NowNs();
+  const std::uint64_t now = obs::NowNs();
   sentinel::MutexLock lock(mu_);
   if (stopping_) return {.admitted = false, .retry_after_ms = 0};
   const std::uint64_t ticket = ++next_ticket_;
@@ -225,13 +218,13 @@ void IdentifyServer::ServeNextBatchLocked() {
   if (metrics_.queue_depth)
     metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
   mu_.Unlock();
-  const std::uint64_t serve_start = NowNs();
+  const std::uint64_t serve_start = obs::NowNs();
   std::vector<DeviceIdentifier::FingerprintRef> refs;
   refs.reserve(batch.size());
   for (const auto& probe : batch)
     refs.push_back({.full = &probe.full, .fixed = &probe.fixed});
   std::vector<IdentificationResult> results = identifier_->IdentifyBatch(refs);
-  const std::uint64_t serve_end = NowNs();
+  const std::uint64_t serve_end = obs::NowNs();
   mu_.Lock();
 
   const double per_probe_ns = static_cast<double>(serve_end - serve_start) /

@@ -1,7 +1,6 @@
 #include "core/security_service.h"
 
 #include "devices/simulator.h"
-#include "obs/profiler.h"
 
 namespace sentinel::core {
 
@@ -18,7 +17,6 @@ IsolationLevel SecurityService::AssessType(devices::DeviceTypeId type) const {
 AssessmentResult SecurityService::Assess(
     const features::Fingerprint& full,
     const features::FixedFingerprint& fixed) {
-  SENTINEL_PROFILE_SCOPE("identify.assess");
   AssessmentResult result;
   result.identification = identifier_.Identify(full, fixed);
 

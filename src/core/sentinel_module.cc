@@ -2,9 +2,7 @@
 
 #include "core/decision_journal.h"
 #include "obs/log.h"
-#include "obs/profiler.h"
-#include "obs/scoped_timer.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 
 namespace sentinel::core {
 
@@ -27,9 +25,7 @@ void SentinelModule::set_metrics(obs::MetricsRegistry* registry) {
     handles_ = ModuleMetrics{};
     return;
   }
-  handles_.identify_ns = &registry->GetHistogram(
-      "sentinel_stage_identify_ns",
-      "device-type identification time (Security Service assessment)");
+  handles_.identify_ns = obs::StageHistogram(registry, obs::Stage::kIdentify);
   handles_.identifications_total = &registry->GetCounter(
       "sentinel_module_identifications_total",
       "completed captures submitted for assessment");
@@ -47,7 +43,7 @@ void SentinelModule::set_metrics(obs::MetricsRegistry* registry) {
 SentinelModule::Verdict SentinelModule::OnPacketIn(
     sdn::SoftwareSwitch& sw, sdn::PortId in_port, const net::Frame& frame,
     const net::ParsedPacket& packet) {
-  SENTINEL_PROFILE_SCOPE("pipeline.packet");
+  obs::StageScope stage(obs::Stage::kPacketIn);
   // Frames sourced by the gateway/upstream infrastructure are neither
   // fingerprinted nor policed; default forwarding applies.
   if (infrastructure_.contains(packet.src_mac)) {
@@ -80,7 +76,7 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
   // 2. Policy.
   const Decision decision = engine_.Authorize(packet);
   if (!decision.allow) {
-    InstallDropRule(sw, packet);
+    InstallFlowRule(sw, packet, /*allow_wan=*/false);
     ++drops_installed_;
     if (handles_.drops_total != nullptr) {
       handles_.drops_total->Increment();
@@ -112,7 +108,7 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
                          !packet.dst_ip->v4().IsMulticast() &&
                          packet.dst_ip->v4() != net::Ipv4Address::Broadcast();
   if (is_public && config_.wan_port != 0) {
-    InstallWanAllowRule(sw, packet);
+    InstallFlowRule(sw, packet, /*allow_wan=*/true);
     if (handles_.wan_allows_total != nullptr)
       handles_.wan_allows_total->Increment();
     sw.PacketOut(config_.wan_port, in_port, frame);
@@ -139,20 +135,16 @@ void SentinelModule::FlushIdle(std::uint64_t now_ns) {
 }
 
 void SentinelModule::HandleCompletedCapture(const CompletedCapture& capture) {
-  SENTINEL_PROFILE_SCOPE("pipeline.identify_enforce");
-  // Root span of the device's identification story: the identify span, the
-  // identifier's tie-break span and the engine's enforce span all nest
-  // under it on the trace id the monitor assigned at first sight.
-  obs::ScopedSpan device_span(tracer_, "sentinel_identification",
-                              capture.trace_id);
-  if (device_span.enabled())
-    device_span.AddArg("mac", capture.device_mac.ToString());
-  obs::ScopedTimer identify_timer(handles_.identify_ns);
-  obs::ScopedSpan identify_span("sentinel_stage_identify");
+  // Root span of the device's identification story: the identify, bank
+  // scan, tie-break and enforce stages all nest under it on the trace id
+  // the monitor assigned at first sight.
+  obs::StageScope device(obs::Stage::kIdentifyEnforce, nullptr, tracer_);
+  device.JoinTrace(capture.trace_id);
+  if (device.traced()) device.AddArg("mac", capture.device_mac.ToString());
+  obs::StageScope identify(obs::Stage::kIdentify, handles_.identify_ns);
   const AssessmentResult assessment =
       service_.Assess(capture.full, capture.fixed);
-  identify_span.End();
-  identify_timer.Stop();  // rule installation is the enforce stage
+  identify.End();  // rule installation is the enforce stage
   if (handles_.identifications_total != nullptr)
     handles_.identifications_total->Increment();
   if (quality_ != nullptr)
@@ -176,49 +168,37 @@ void SentinelModule::HandleCompletedCapture(const CompletedCapture& capture) {
   }
 }
 
-void SentinelModule::InstallDropRule(sdn::SoftwareSwitch& sw,
-                                     const net::ParsedPacket& packet) {
-  obs::ScopedSpan span(tracer_, "sentinel_flow_install",
-                       monitor_.trace_id(packet.src_mac));
+void SentinelModule::InstallFlowRule(sdn::SoftwareSwitch& sw,
+                                     const net::ParsedPacket& packet,
+                                     bool allow_wan) {
+  obs::StageScope stage(obs::Stage::kFlowInstall, nullptr, tracer_);
+  if (tracer_ != nullptr) stage.JoinTrace(monitor_.trace_id(packet.src_mac));
   sdn::FlowRule rule;
-  rule.priority = config_.drop_priority;
   rule.match.eth_src = packet.src_mac;
-  rule.match.eth_dst = packet.dst_mac;
-  if (packet.dst_ip && packet.dst_ip->IsV4() &&
-      !packet.dst_ip->v4().IsPrivate()) {
+  if (allow_wan) {
+    rule.priority = config_.allow_priority;
     rule.match.ip_dst = packet.dst_ip->v4();
+    rule.actions = {sdn::ActionOutput{config_.wan_port}};
+  } else {
+    rule.priority = config_.drop_priority;
+    rule.match.eth_dst = packet.dst_mac;
+    if (packet.dst_ip && packet.dst_ip->IsV4() &&
+        !packet.dst_ip->v4().IsPrivate()) {
+      rule.match.ip_dst = packet.dst_ip->v4();
+    }
   }
   const EnforcementRule* enforcement = engine_.Find(packet.src_mac);
   rule.cookie = enforcement ? enforcement->Hash() : 0;
-  rule.actions = {};  // drop
   if (recorder_ != nullptr) {
-    recorder_->Record(packet.src_mac,
-                      {.kind = obs::DeviceEventKind::kFlowRuleInstalled,
-                       .timestamp_ns = packet.timestamp_ns,
-                       .label = "drop -> " + packet.dst_mac.ToString()});
+    recorder_->Record(
+        packet.src_mac,
+        {.kind = obs::DeviceEventKind::kFlowRuleInstalled,
+         .timestamp_ns = packet.timestamp_ns,
+         .label = allow_wan
+                      ? "allow wan -> " + packet.dst_ip->v4().ToString()
+                      : "drop -> " + packet.dst_mac.ToString()});
   }
-  if (span.enabled()) span.AddArg("action", "drop");
-  sdn::Controller::InstallRule(sw, std::move(rule));
-}
-
-void SentinelModule::InstallWanAllowRule(sdn::SoftwareSwitch& sw,
-                                         const net::ParsedPacket& packet) {
-  obs::ScopedSpan span(tracer_, "sentinel_flow_install",
-                       monitor_.trace_id(packet.src_mac));
-  sdn::FlowRule rule;
-  rule.priority = config_.allow_priority;
-  rule.match.eth_src = packet.src_mac;
-  rule.match.ip_dst = packet.dst_ip->v4();
-  const EnforcementRule* enforcement = engine_.Find(packet.src_mac);
-  rule.cookie = enforcement ? enforcement->Hash() : 0;
-  rule.actions = {sdn::ActionOutput{config_.wan_port}};
-  if (recorder_ != nullptr) {
-    recorder_->Record(packet.src_mac,
-                      {.kind = obs::DeviceEventKind::kFlowRuleInstalled,
-                       .timestamp_ns = packet.timestamp_ns,
-                       .label = "allow wan -> " + packet.dst_ip->v4().ToString()});
-  }
-  if (span.enabled()) span.AddArg("action", "allow_wan");
+  if (stage.traced()) stage.AddArg("action", allow_wan ? "allow_wan" : "drop");
   sdn::Controller::InstallRule(sw, std::move(rule));
 }
 

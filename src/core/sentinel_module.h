@@ -89,11 +89,11 @@ class SentinelModule : public sdn::ControllerModule {
   }
 
   /// Attaches controller-module telemetry and propagates the registry to
-  /// the embedded DeviceMonitor. The module records the
-  /// `sentinel_stage_identify_ns` histogram around the Security Service
-  /// assessment (the monitor owns the capture/fingerprint stages, the
-  /// enforcement engine the enforce stage) plus drop-rule / WAN-allow /
-  /// incident / identification counters. nullptr detaches everything.
+  /// the embedded DeviceMonitor. The module records the identify stage's
+  /// histogram around the Security Service assessment (the monitor owns
+  /// the capture/fingerprint stages, the enforcement engine the enforce
+  /// stage) plus drop-rule / WAN-allow / incident / identification
+  /// counters. nullptr detaches everything.
   void set_metrics(obs::MetricsRegistry* registry);
 
   /// Attaches decision-provenance tracing and propagates it to the
@@ -123,10 +123,10 @@ class SentinelModule : public sdn::ControllerModule {
 
  private:
   void HandleCompletedCapture(const CompletedCapture& capture);
-  void InstallDropRule(sdn::SoftwareSwitch& sw,
-                       const net::ParsedPacket& packet);
-  void InstallWanAllowRule(sdn::SoftwareSwitch& sw,
-                           const net::ParsedPacket& packet);
+  /// Installs the flow rule for a policed frame: a drop rule, or with
+  /// `allow_wan` a specific WAN allow rule for a permitted public flow.
+  void InstallFlowRule(sdn::SoftwareSwitch& sw,
+                       const net::ParsedPacket& packet, bool allow_wan);
 
   struct ModuleMetrics {
     obs::Histogram* identify_ns = nullptr;

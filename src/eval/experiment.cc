@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "features/edit_distance.h"
+#include "obs/stage.h"
 
 namespace sentinel::eval {
 
@@ -143,19 +144,10 @@ StepTimings MeasureStepTimings(const devices::FingerprintDataset& dataset,
                                util::ThreadPool* pool,
                                obs::MetricsRegistry* metrics) {
   StepTimings out;
-  obs::Histogram* stage_fingerprint_ns =
-      metrics != nullptr
-          ? &metrics->GetHistogram(
-                "sentinel_stage_fingerprint_ns",
-                "fingerprint assembly time when a setup phase completes")
-          : nullptr;
-  obs::Histogram* stage_identify_ns =
-      metrics != nullptr
-          ? &metrics->GetHistogram(
-                "sentinel_stage_identify_ns",
-                "device-type identification time (Security Service "
-                "assessment)")
-          : nullptr;
+  obs::Histogram* fingerprint_ns =
+      obs::StageHistogram(metrics, obs::Stage::kFingerprint);
+  obs::Histogram* identify_ns =
+      obs::StageHistogram(metrics, obs::Stage::kIdentify);
   // Train on the full dataset (timing, not accuracy, is measured here).
   std::vector<core::LabelledFingerprint> train;
   train.reserve(dataset.size());
@@ -213,11 +205,12 @@ StepTimings MeasureStepTimings(const devices::FingerprintDataset& dataset,
           static_cast<devices::DeviceTypeId>(n % devices::DeviceTypeCount()));
       const auto packets = devices::DeviceSimulator::DevicePackets(episode);
       const auto t0 = Clock::now();
+      obs::StageScope stage(obs::Stage::kFingerprint, fingerprint_ns, t0);
       const auto fp = features::Fingerprint::FromPackets(packets);
       (void)features::FixedFingerprint::FromFingerprint(fp);
-      extraction.push_back(ToNs(Clock::now() - t0));
-      if (stage_fingerprint_ns != nullptr)
-        stage_fingerprint_ns->Observe(extraction.back());
+      const auto t1 = Clock::now();
+      stage.End(t1);
+      extraction.push_back(ToNs(t1 - t0));
     }
   }
 
@@ -227,10 +220,12 @@ StepTimings MeasureStepTimings(const devices::FingerprintDataset& dataset,
   for (std::size_t n = 0; n < probe_count; ++n) {
     const std::size_t i = pick(rng);
     const auto t0 = Clock::now();
+    obs::StageScope stage(obs::Stage::kIdentify, identify_ns, t0);
     const auto result =
         identifier.Identify(dataset.fingerprints[i], dataset.fixed[i]);
-    ids.push_back(ToNs(Clock::now() - t0));
-    if (stage_identify_ns != nullptr) stage_identify_ns->Observe(ids.back());
+    const auto t1 = Clock::now();
+    stage.End(t1);
+    ids.push_back(ToNs(t1 - t0));
     all_cls.push_back(static_cast<double>(result.classification_time.count()));
     if (result.matched_types.size() > 1) {
       discs.push_back(static_cast<double>(result.discrimination_time.count()));

@@ -78,12 +78,12 @@ struct StepTimings {
 
 /// `pool` accelerates the one-off training of the measured identifier; the
 /// timed probe sections always run sequentially so the per-step numbers
-/// stay comparable with the paper's single-core measurements. With a
-/// non-null `metrics`, each probe's extraction and identification times
-/// are also observed into the `sentinel_stage_fingerprint_ns` /
-/// `sentinel_stage_identify_ns` histograms (the same series the live
-/// gateway records), so the Table IV bench and production telemetry share
-/// one exposition path.
+/// stay comparable with the paper's single-core measurements. Each
+/// probe's extraction and identification run as the fingerprint and
+/// identify stages (obs/stage.h) on the step's own clock reads, so with a
+/// non-null `metrics` they land in the same histograms the live gateway
+/// records, and the Table IV bench and production telemetry share one
+/// exposition path.
 StepTimings MeasureStepTimings(const devices::FingerprintDataset& dataset,
                                const CrossValidationConfig& config,
                                std::size_t probe_count = 200,

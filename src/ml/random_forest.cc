@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/profiler.h"
-#include "obs/scoped_timer.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "util/check.h"
 
 namespace sentinel::ml {
@@ -17,20 +15,13 @@ void RandomForest::Train(const Dataset& data, const RandomForestConfig& config,
     throw std::invalid_argument("RandomForest::Train: empty dataset");
   if (config.tree_count == 0)
     throw std::invalid_argument("RandomForest::Train: zero trees");
-  obs::Histogram* tree_hist =
-      metrics != nullptr
-          ? &metrics->GetHistogram("sentinel_ml_tree_train_ns",
-                                   "single-tree bagging + CART training time")
-          : nullptr;
-  obs::ScopedTimer forest_timer(
-      metrics != nullptr
-          ? &metrics->GetHistogram("sentinel_ml_forest_train_ns",
-                                   "whole-forest training time")
-          : nullptr);
-  obs::ScopedSpan forest_span("sentinel_ml_forest_train");
-  SENTINEL_PROFILE_SCOPE("ml.forest_train");
-  if (forest_span.enabled())
-    forest_span.AddArg("trees", std::to_string(config.tree_count));
+  obs::Histogram* tree_ns =
+      obs::StageHistogram(metrics, obs::Stage::kTreeTrain);
+  obs::StageScope forest_stage(
+      obs::Stage::kForestTrain,
+      obs::StageHistogram(metrics, obs::Stage::kForestTrain));
+  if (forest_stage.traced())
+    forest_stage.AddArg("trees", std::to_string(config.tree_count));
   trees_.clear();
   trees_.resize(config.tree_count);
   class_count_ = data.class_count();
@@ -46,7 +37,7 @@ void RandomForest::Train(const Dataset& data, const RandomForestConfig& config,
       config.tree_count);
 
   util::ParallelFor(pool, config.tree_count, [&](std::size_t t) {
-    obs::ScopedTimer tree_timer(tree_hist);
+    obs::StageScope tree_stage(obs::Stage::kTreeTrain, tree_ns);
     Rng rng(DeriveSeed(config.seed, t));
     std::uniform_int_distribution<std::size_t> pick(0, data.size() - 1);
     std::vector<std::size_t> bootstrap(sample_size);

@@ -14,8 +14,10 @@
 //   metric dumps diff cleanly across runs.
 //
 // Naming scheme (see DESIGN.md "Observability"): `sentinel_<subsystem>_
-// <name>` with `_total` for counters and `_ns` for nanosecond histograms;
-// pipeline stages share the `sentinel_stage_<stage>_ns` family.
+// <name>` with `_total` for counters and `_ns` for nanosecond histograms.
+// Pipeline stages are named once, in the stage table (obs/stage.h): a
+// stage's histogram is `<stage name>_ns`, and its StageScope feeds it
+// together with the stage's span and profiler frame.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,6 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <map>
 
@@ -31,13 +30,6 @@ struct TlsTreeCache {
 thread_local TlsTreeCache t_tree_cache;
 
 }  // namespace
-
-std::uint64_t ProfileNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 Profiler::ThreadTree::ThreadTree(std::size_t cap)
     : capacity(cap < 2 ? 2 : cap),

@@ -1,8 +1,11 @@
-// Always-on hierarchical wall-clock profiler. `SENTINEL_PROFILE_SCOPE`
-// sites build per-thread trees of named frames (one node per distinct
-// call path, not per call), which Snapshot() merges across threads into a
-// single self/total-time tree exportable as JSON (/profile endpoint) or
-// collapsed-stack lines (flamegraph.pl / speedscope input).
+// Always-on hierarchical wall-clock profiler. Pipeline stages open
+// profiler frames through their StageScope (obs/stage.h), which names the
+// frame after the stage-table row; ProfileScope / SENTINEL_PROFILE_SCOPE
+// remain for frames that are not stages (tests). Frames build per-thread
+// trees (one node per distinct call path, not per call), which Snapshot()
+// merges across threads into a single self/total-time tree exportable as
+// JSON (/profile endpoint) or collapsed-stack lines (flamegraph.pl /
+// speedscope input).
 //
 // Cost contract (mirrors the metrics registry and tracer, DESIGN.md
 // "Performance observability"):
@@ -14,7 +17,7 @@
 // - Attached, entering a previously seen frame is wait-free: a walk of
 //   the parent's child list (almost always length 1-2, matched by
 //   string-literal pointer identity before strcmp) plus two relaxed
-//   fetch_adds on exit. Node creation happens once per distinct
+//   stores on exit. Node creation happens once per distinct
 //   (thread, path) and publishes via release stores into the child
 //   links, so concurrent Snapshot() readers never see a half-built node.
 //   The profiler mutex guards only thread registration and snapshots,
@@ -23,13 +26,11 @@
 //   when it fills, further new paths collapse into a per-thread
 //   "(overflow)" node instead of allocating.
 //
-// Relation to the rest of the observability plane: ScopedTimer feeds
-// latency histograms (distributions of one stage), ScopedSpan records
-// individual causally-linked spans (provenance of one decision), and
-// ProfileScope aggregates wall time by call path (where does the time
-// go overall). The three share call sites — SENTINEL_PROFILE_SCOPE is
-// cheap enough to sit beside an existing timer or span — but never
-// depend on each other.
+// Relation to the rest of the observability plane: a stage's histogram
+// gives the distribution of one stage, its span the provenance of one
+// decision, and its profiler frame the wall time by call path (where
+// does the time go overall). One StageScope feeds all three from the same
+// two clock reads; none of the sinks depends on another.
 //
 // Threading: scopes must strictly nest per thread (RAII enforces this)
 // and a thread's frames land in that thread's tree — a ParallelFor body
@@ -50,6 +51,17 @@
 #include "util/thread_annotations.h"
 
 namespace sentinel::obs {
+
+/// The one monotonic clock every instrument reads (stage scopes, spans,
+/// profiler frames), in nanoseconds, so one pair of reads feeds them all.
+using StageClock = std::chrono::steady_clock;
+[[nodiscard]] inline std::uint64_t ToNs(StageClock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          t.time_since_epoch())
+          .count());
+}
+[[nodiscard]] inline std::uint64_t NowNs() { return ToNs(StageClock::now()); }
 
 struct ProfilerConfig {
   /// Frame-tree nodes per thread (distinct call paths, not calls). New
@@ -179,51 +191,31 @@ struct Profiler::ThreadTree {
   std::atomic<std::uint64_t> dropped{0};
 };
 
-/// Monotonic nanosecond clock shared by profiler scopes (same clock the
-/// benches and ScopedTimer use).
-[[nodiscard]] std::uint64_t ProfileNowNs();
-
 /// RAII frame. Disabled (one relaxed load + branch, nothing else) when
 /// no profiler is installed.
 class ProfileScope {
  public:
   explicit ProfileScope(const char* name) {
-    if (Open(name)) start_ns_ = ProfileNowNs();
+    if (Profiler* profiler = Profiler::Current())
+      Open(*profiler, name, NowNs());
   }
-  /// A frame bounded by the caller's own reads of the profiler's clock
-  /// (std::chrono::steady_clock), for a hot path that already times
-  /// itself: opened at `start`, recorded by Close(end) or, failing that,
-  /// at destruction. It takes no clock reads of its own.
-  ProfileScope(const char* name, std::chrono::steady_clock::time_point start) {
-    if (Open(name)) start_ns_ = ToNs(start);
-  }
-  /// Records the frame as ending at `end`; the destructor then does
-  /// nothing.
-  void Close(std::chrono::steady_clock::time_point end) { Close(ToNs(end)); }
+  /// Sink form for a StageScope (obs/stage.h): a closed frame that Open()
+  /// starts at the caller's clock read and Close() records.
+  ProfileScope() = default;
   ~ProfileScope() {
-    if (tree_ != nullptr) Close(ProfileNowNs());
+    if (tree_ != nullptr) Close(NowNs());
   }
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
 
-  [[nodiscard]] bool enabled() const { return tree_ != nullptr; }
-
- private:
-  static std::uint64_t ToNs(std::chrono::steady_clock::time_point t) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            t.time_since_epoch())
-            .count());
-  }
-  bool Open(const char* name) {
-    Profiler* profiler = Profiler::Current();
-    if (profiler == nullptr) return false;
-    tree_ = profiler->TreeForCurrentThread();
+  void Open(Profiler& profiler, const char* name, std::uint64_t start_ns) {
+    tree_ = profiler.TreeForCurrentThread();
     parent_ = tree_->current;
     node_ = tree_->FindOrAddChild(parent_, name);
     tree_->current = node_;
-    return true;
+    start_ns_ = start_ns;
   }
+  /// Records the frame as ending at `end_ns`; no-op unless open.
   void Close(std::uint64_t end_ns) {
     if (tree_ == nullptr) return;
     tree_->AddSample(node_, end_ns - start_ns_);
@@ -231,6 +223,9 @@ class ProfileScope {
     tree_ = nullptr;
   }
 
+  [[nodiscard]] bool enabled() const { return tree_ != nullptr; }
+
+ private:
   Profiler::ThreadTree* tree_ = nullptr;
   std::uint32_t node_ = 0;
   std::uint32_t parent_ = 0;

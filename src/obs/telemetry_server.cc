@@ -149,7 +149,7 @@ void TelemetryServer::Start() {
       0) {
     port_ = ntohs(bound.sin_port);
   }
-  start_ns_ = ProfileNowNs();
+  start_ns_ = NowNs();
   listen_fd_.store(fd, std::memory_order_release);
   SENTINEL_LOG_INFO("telemetry", "listening", {"port", port_});
 }
@@ -257,6 +257,7 @@ TelemetryServer::ParseStatus TelemetryServer::ParseOneRequest(
   std::size_t line_end = head.find("\r\n");
   if (line_end == std::string_view::npos) line_end = header_end;
   const std::string_view request_line = head.substr(0, line_end);
+  const std::size_t body_start = header_end + 4;
   const std::size_t first_space = request_line.find(' ');
   if (first_space != std::string_view::npos) {
     out.method = std::string(request_line.substr(0, first_space));
@@ -267,7 +268,12 @@ TelemetryServer::ParseStatus TelemetryServer::ParseOneRequest(
                              ? std::string_view::npos
                              : second_space - first_space - 1));
   }
+  if (out.method.empty() || out.path.empty()) {
+    buffer.erase(0, body_start);
+    return ParseStatus::kBadRequestLine;
+  }
 
+  bool conflicting_length = false;
   std::size_t pos = line_end >= header_end ? header_end : line_end + 2;
   while (pos < header_end) {
     std::size_t next = head.find("\r\n", pos);
@@ -286,6 +292,8 @@ TelemetryServer::ParseStatus TelemetryServer::ParseOneRequest(
         // Malformed length: the body boundary is unknowable, so serve
         // this request bodyless and drop the connection after it.
         out.close_connection = true;
+      } else if (out.has_content_length && length != out.content_length) {
+        conflicting_length = true;
       } else {
         out.has_content_length = true;
         out.content_length = length;
@@ -305,7 +313,10 @@ TelemetryServer::ParseStatus TelemetryServer::ParseOneRequest(
     }
   }
 
-  const std::size_t body_start = header_end + 4;
+  if (conflicting_length) {
+    buffer.erase(0, body_start);
+    return ParseStatus::kConflictingLength;
+  }
   if (out.has_content_length &&
       out.content_length > config_.max_body_bytes) {
     // Consume the headers only; the unread body makes the connection
@@ -403,8 +414,8 @@ void TelemetryServer::ServeConnection(int connection_fd) {
     idle_periods = 0;
     // A framing error leaves the rest of the stream unreadable: its 400 or
     // 413 answer follows the burst and is the connection's last response.
-    const bool framing_error = status == ParseStatus::kHeaderOverflow ||
-                               status == ParseStatus::kBodyTooLarge;
+    const bool framing_error = status != ParseStatus::kComplete &&
+                               status != ParseStatus::kNeedMore;
     // A response says close iff the connection closes right after it, so
     // at most the burst's last response does.
     const auto keep_alive = [&](std::size_t i) {
@@ -439,15 +450,24 @@ void TelemetryServer::ServeConnection(int connection_fd) {
                  : RenderPost(post_routes_->Collect(slots[i].request_id),
                               keep_alive(i));
     }
-    if (status == ParseStatus::kHeaderOverflow) {
-      out += PlainResponse(400, "header block too large\n",
-                           /*keep_alive=*/false);
-    } else if (status == ParseStatus::kBodyTooLarge) {
-      out += BodyTooLarge(config_.max_body_bytes, /*keep_alive=*/false);
+    if (framing_error) {
+      out += FramingErrorResponse(status);
+      close_connection = true;
     }
-    if (framing_error) close_connection = true;
     if (!out.empty()) SendAll(connection_fd, out);
   }
+}
+
+std::string TelemetryServer::FramingErrorResponse(ParseStatus status) const {
+  if (status == ParseStatus::kBodyTooLarge)
+    return BodyTooLarge(config_.max_body_bytes, /*keep_alive=*/false);
+  return PlainResponse(400,
+                       status == ParseStatus::kHeaderOverflow
+                           ? "header block too large\n"
+                       : status == ParseStatus::kBadRequestLine
+                           ? "malformed request line\n"
+                           : "conflicting Content-Length headers\n",
+                       /*keep_alive=*/false);
 }
 
 std::string TelemetryServer::HandleHttpRequest(
@@ -505,7 +525,7 @@ std::string TelemetryServer::HandlePathImpl(const std::string& path,
     body += ",\"version\":" + JsonQuote(BuildVersion());
     body += ",\"compiler\":" + JsonQuote(BuildCompiler());
     const std::uint64_t uptime_s =
-        start_ns_ == 0 ? 0 : (ProfileNowNs() - start_ns_) / 1000000000ULL;
+        start_ns_ == 0 ? 0 : (NowNs() - start_ns_) / 1000000000ULL;
     body += ",\"uptime_seconds\":" + std::to_string(uptime_s);
     body += ",\"sampler\":{\"attached\":";
     body += timeseries_ == nullptr ? "false" : "true";

@@ -180,15 +180,19 @@ class TelemetryServer {
   /// Incremental request parser over a connection's receive buffer — the
   /// socket-free parser every connection handler runs.
   enum class ParseStatus {
-    kComplete,        // one request parsed and consumed from the buffer
-    kNeedMore,        // keep receiving
-    kHeaderOverflow,  // header block exceeded the 4 KiB cap
-    kBodyTooLarge,    // declared Content-Length beyond max_body_bytes
+    kComplete,           // one request parsed and consumed from the buffer
+    kNeedMore,           // keep receiving
+    kHeaderOverflow,     // header block exceeded the 4 KiB cap
+    kBodyTooLarge,       // declared Content-Length beyond max_body_bytes
+    kBadRequestLine,     // request line without a method or a path
+    kConflictingLength,  // Content-Length headers with different values
   };
   /// Parses the first request in `buffer` into `out`. kComplete consumes
-  /// it (headers and body); kBodyTooLarge consumes only the headers, and
-  /// the connection cannot be resynchronized after it.
+  /// it (headers and body); the framing errors (the other statuses but
+  /// kNeedMore) consume at most the headers and end the connection.
   ParseStatus ParseOneRequest(std::string& buffer, HttpRequest& out) const;
+  /// The closing 400 (413 for kBodyTooLarge) after a framing error.
+  [[nodiscard]] std::string FramingErrorResponse(ParseStatus status) const;
 
   /// Routes one parsed request to a full HTTP response (status line,
   /// headers, body, "Connection: close"), through the same gate and

@@ -78,23 +78,22 @@ void TimeSeriesStore::Sample(std::int64_t now_ns) {
   const std::uint64_t s = head_.load(std::memory_order_relaxed);
   const std::size_t slot = static_cast<std::size_t>(s % config_.capacity);
   // Sample s overwrites the slots of sample s - capacity. Announce it
-  // first: the fence orders begun_ = s + 1 before every slot store below,
-  // so a reader that copied any of them and then fences
-  // (FirstIntactSample) sees begun_ > s and drops sample s - capacity.
+  // first: every slot store below is a release, ordered after begun_ =
+  // s + 1, so a reader whose acquire load saw any of them then reloads
+  // begun_ > s (FirstIntactSample) and drops sample s - capacity.
   begun_.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
 
   registry_->VisitInstruments(
       [&](const std::string& name, const Counter& counter) {
         Series& sr = Ensure(name, Kind::kCounter, 0, s);
-        sr.times[slot].store(now_ns, std::memory_order_relaxed);
+        sr.times[slot].store(now_ns, std::memory_order_release);
         sr.values[slot].store(static_cast<double>(counter.Value()),
-                              std::memory_order_relaxed);
+                              std::memory_order_release);
       },
       [&](const std::string& name, const Gauge& gauge) {
         Series& sr = Ensure(name, Kind::kGauge, 0, s);
-        sr.times[slot].store(now_ns, std::memory_order_relaxed);
-        sr.values[slot].store(gauge.Value(), std::memory_order_relaxed);
+        sr.times[slot].store(now_ns, std::memory_order_release);
+        sr.values[slot].store(gauge.Value(), std::memory_order_release);
       },
       [&](const std::string& name, const Histogram& histogram) {
         const Histogram::Snapshot snap = histogram.Read();
@@ -108,13 +107,13 @@ void TimeSeriesStore::Sample(std::int64_t now_ns) {
         }
         SENTINEL_CHECK(snap.buckets.size() == sr.bucket_count)
             << name << ": bucket count changed mid-run";
-        sr.times[slot].store(now_ns, std::memory_order_relaxed);
+        sr.times[slot].store(now_ns, std::memory_order_release);
         sr.values[slot].store(static_cast<double>(snap.count),
-                              std::memory_order_relaxed);
-        sr.sums[slot].store(snap.sum, std::memory_order_relaxed);
+                              std::memory_order_release);
+        sr.sums[slot].store(snap.sum, std::memory_order_release);
         std::atomic<std::uint64_t>* row = &sr.buckets[slot * sr.bucket_count];
         for (std::size_t i = 0; i < sr.bucket_count; ++i)
-          row[i].store(snap.buckets[i].second, std::memory_order_relaxed);
+          row[i].store(snap.buckets[i].second, std::memory_order_release);
       });
 
   head_.store(s + 1, std::memory_order_release);
@@ -133,7 +132,6 @@ void TimeSeriesStore::WindowRange(const Series& series, std::size_t window,
 }
 
 std::uint64_t TimeSeriesStore::FirstIntactSample() const {
-  std::atomic_thread_fence(std::memory_order_acquire);
   const std::uint64_t begun = begun_.load(std::memory_order_relaxed);
   return begun > config_.capacity ? begun - config_.capacity : 0;
 }
@@ -157,8 +155,8 @@ std::vector<TimeSeriesStore::Point> TimeSeriesStore::Recent(
   out.reserve(static_cast<std::size_t>(hi - lo));
   for (std::uint64_t s = lo; s < hi; ++s) {
     const std::size_t slot = static_cast<std::size_t>(s % config_.capacity);
-    out.push_back({sr->times[slot].load(std::memory_order_relaxed),
-                   sr->values[slot].load(std::memory_order_relaxed)});
+    out.push_back({sr->times[slot].load(std::memory_order_acquire),
+                   sr->values[slot].load(std::memory_order_acquire)});
   }
   // Drop the oldest samples if the sampler lapped them mid-copy.
   const std::uint64_t intact = FirstIntactSample();
@@ -222,12 +220,12 @@ TimeSeriesStore::HistogramWindow TimeSeriesStore::HistogramStats(
     const std::atomic<std::uint64_t>* last_row =
         &sr->buckets[last_slot * sr->bucket_count];
     for (std::size_t i = 0; i < sr->bucket_count; ++i) {
-      const std::uint64_t a = first_row[i].load(std::memory_order_relaxed);
-      const std::uint64_t b = last_row[i].load(std::memory_order_relaxed);
+      const std::uint64_t a = first_row[i].load(std::memory_order_acquire);
+      const std::uint64_t b = last_row[i].load(std::memory_order_acquire);
       deltas[i] = b >= a ? b - a : 0;
     }
-    out.sum = sr->sums[last_slot].load(std::memory_order_relaxed) -
-              sr->sums[first_slot].load(std::memory_order_relaxed);
+    out.sum = sr->sums[last_slot].load(std::memory_order_acquire) -
+              sr->sums[first_slot].load(std::memory_order_acquire);
     const std::uint64_t intact = FirstIntactSample();
     if (lo >= intact) break;
     lo = std::min(intact, hi);

@@ -15,15 +15,15 @@
 // - Series are discovered on the fly: an instrument registered after the
 //   store started simply records the sample index at which it first
 //   appeared and reports a shorter window until it catches up.
-// - Slots are std::atomic with relaxed loads/stores (the head fence orders
-//   publication), so the sampler and scrapers never contend on a lock for
+// - Slots are std::atomic with release stores and acquire loads (plain
+//   moves on x86), so the sampler and scrapers never contend on a lock for
 //   ring data; a short mutex guards only the name -> series map.
 // - Readers validate like a seqlock. The sampler announces sample s in a
-//   second index (begun = s + 1) and issues a release fence before its
-//   first slot store; a reader copies the slots, fences, reloads begun as
-//   B and drops every sample s < B - capacity, whose slot the sampler may
-//   have rewritten mid-copy. With the sampler idle, B == head and the
-//   whole ring stays readable.
+//   second index (begun = s + 1) before its first slot store; a reader
+//   copies the slots, reloads begun as B (a slot it acquired was released
+//   after begun = s + 1) and drops every sample s < B - capacity, whose
+//   slot the sampler may have rewritten mid-copy. With the sampler idle,
+//   B == head and the whole ring stays readable.
 //
 // Readers derive, over the last `window` samples of a series:
 // - Window(): first/last/min/max/mean, delta and per-second rate (the
@@ -136,9 +136,9 @@ class TimeSeriesStore {
     const Kind kind;
     /// Global sample index at which this series first appeared.
     const std::uint64_t first_sample;
-    // ordering: relaxed (times/values/buckets/sums) — single-writer ring
-    // slots; publication is ordered by the store's head_ release/acquire
-    // pair, not per-slot edges. See the file comment.
+    // ordering: release / acquire (times/values/buckets/sums) — single-
+    // writer ring slots whose own edges order begun_ before a reader's
+    // validation (the seqlock). See the file comment.
     std::unique_ptr<std::atomic<std::int64_t>[]> times;  // [capacity]
     std::unique_ptr<std::atomic<double>[]> values;       // [capacity]
 
@@ -146,9 +146,9 @@ class TimeSeriesStore {
     const std::size_t bucket_count;
     std::vector<double> bounds;  // finite bounds + +Inf, fixed at discovery
     /// Cumulative per-bound counts, [capacity * bucket_count], slot-major.
-    // ordering: relaxed — see times/values above.
+    // ordering: release / acquire — see times/values above.
     std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;
-    // ordering: relaxed — see times/values above.
+    // ordering: release / acquire — see times/values above.
     std::unique_ptr<std::atomic<double>[]> sums;  // [capacity]
   };
 
@@ -167,10 +167,10 @@ class TimeSeriesStore {
   void WindowRange(const Series& series, std::size_t window, std::uint64_t* lo,
                    std::uint64_t* hi) const;
 
-  /// Seqlock-style validation after a reader copied ring slots: fences,
-  /// reloads begun_ as B and returns the oldest sample whose slots the
-  /// sampler cannot have rewritten since, B - capacity (0 before the ring
-  /// first wraps). Samples older than that must be dropped.
+  /// Seqlock-style validation after a reader copied ring slots: reloads
+  /// begun_ as B and returns the oldest sample whose slots the sampler
+  /// cannot have rewritten since, B - capacity (0 before the ring first
+  /// wraps). Samples older than that must be dropped.
   [[nodiscard]] std::uint64_t FirstIntactSample() const;
 
   const MetricsRegistry* const registry_;
@@ -181,9 +181,9 @@ class TimeSeriesStore {
   // the relaxed ring-slot writes of sample H visible to readers that
   // observed head > H. See the file comment.
   std::atomic<std::uint64_t> head_{0};
-  // ordering: relaxed store, made visible by the release fence Sample()
-  // issues before its slot stores; relaxed load after the acquire fence in
-  // FirstIntactSample(). Samples begun so far: head_, plus one while a
+  // ordering: relaxed store, ordered before the sample's release slot
+  // stores; relaxed load in FirstIntactSample(), after the reader's
+  // acquire slot loads. Samples begun so far: head_, plus one while a
   // Sample() call is writing.
   std::atomic<std::uint64_t> begun_{0};
 

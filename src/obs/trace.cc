@@ -6,9 +6,11 @@
 #include <utility>
 
 #include "obs/json.h"
-#include "obs/scoped_timer.h"
+#include "obs/profiler.h"
 
 namespace sentinel::obs {
+
+using detail::t_current_context;
 
 namespace {
 
@@ -21,8 +23,6 @@ std::uint32_t CurrentThreadNumber() {
   thread_local std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
-
-thread_local TraceContext t_current_context;
 
 std::string FormatMicros(std::uint64_t ns) {
   char buf[40];
@@ -146,8 +146,6 @@ void Tracer::WriteChromeJson(const std::string& path) const {
     throw std::runtime_error("short write to " + path);
 }
 
-const TraceContext& CurrentTraceContext() { return t_current_context; }
-
 ScopedTraceContext::ScopedTraceContext(const TraceContext& context)
     : saved_(t_current_context) {
   t_current_context = context;
@@ -156,14 +154,14 @@ ScopedTraceContext::ScopedTraceContext(const TraceContext& context)
 ScopedTraceContext::~ScopedTraceContext() { t_current_context = saved_; }
 
 void ScopedSpan::Begin(Tracer* tracer, const char* name, TraceId trace_id,
-                       SpanId parent_id) {
+                       SpanId parent_id, std::uint64_t start_ns) {
   tracer_ = tracer;
   record_.trace_id = trace_id;
   record_.parent_id = parent_id;
   record_.span_id = tracer->NewSpanId();
   record_.name = name;
   record_.thread = CurrentThreadNumber();
-  record_.start_ns = NowNs();
+  record_.start_ns = start_ns;
   saved_ = t_current_context;
   t_current_context =
       TraceContext{tracer, record_.trace_id, record_.span_id};
@@ -172,22 +170,22 @@ void ScopedSpan::Begin(Tracer* tracer, const char* name, TraceId trace_id,
 ScopedSpan::ScopedSpan(const char* name) {
   const TraceContext& current = t_current_context;
   if (!current.active()) return;  // the single detached-mode branch
-  Begin(current.tracer, name, current.trace_id, current.span_id);
+  Begin(current.tracer, name, current.trace_id, current.span_id, NowNs());
 }
 
 ScopedSpan::ScopedSpan(Tracer* tracer, const char* name) {
   const TraceContext& current = t_current_context;
   if (current.active()) {
-    Begin(current.tracer, name, current.trace_id, current.span_id);
+    Begin(current.tracer, name, current.trace_id, current.span_id, NowNs());
     return;
   }
   if (tracer == nullptr) return;
-  Begin(tracer, name, tracer->NewTraceId(), 0);
+  Begin(tracer, name, tracer->NewTraceId(), 0, NowNs());
 }
 
 ScopedSpan::ScopedSpan(Tracer* tracer, const char* name, TraceId trace_id) {
   if (tracer == nullptr) return;
-  Begin(tracer, name, trace_id, 0);
+  Begin(tracer, name, trace_id, 0, NowNs());
 }
 
 void ScopedSpan::AddArg(std::string key, std::string value) {
@@ -196,8 +194,12 @@ void ScopedSpan::AddArg(std::string key, std::string value) {
 }
 
 std::uint64_t ScopedSpan::End() {
+  return tracer_ == nullptr ? 0 : End(NowNs());
+}
+
+std::uint64_t ScopedSpan::End(std::uint64_t end_ns) {
   if (tracer_ == nullptr) return 0;
-  record_.end_ns = NowNs();
+  record_.end_ns = end_ns;
   const std::uint64_t elapsed = record_.end_ns - record_.start_ns;
   t_current_context = saved_;
   Tracer* tracer = tracer_;

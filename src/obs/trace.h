@@ -6,7 +6,7 @@
 //
 // Cost contract (mirrors the metrics registry, DESIGN.md "Tracing &
 // decision provenance"):
-// - Detached (`ScopedSpan` resolving to no tracer) every span site is a
+// - Detached (a span resolving to no tracer) every span site is a
 //   single branch: no clock read, no allocation, no atomic traffic.
 // - Attached, recording is lock-free on the hot path: a relaxed
 //   fetch_add claims a ring slot and an uncontended atomic exchange
@@ -17,11 +17,11 @@
 //   models, so traced runs are bit-identical to untraced runs.
 //
 // Context propagation: each thread carries an implicit current-span
-// context. `ScopedSpan` nests under it automatically and installs itself
-// for its lifetime; `ScopedTraceContext` carries a context across
-// explicit boundaries (e.g. into ThreadPool workers). Components that
-// only ever produce child spans (RandomForest, FlowTable) therefore need
-// no tracer wiring at all — they open context-only spans that are no-ops
+// context. A span nests under it automatically and installs itself for
+// its lifetime; `ScopedTraceContext` carries a context across explicit
+// boundaries (e.g. into ThreadPool workers). Components that only ever
+// produce child spans (RandomForest, FlowTable) therefore need no tracer
+// wiring at all — their stages open context-only spans that are no-ops
 // unless a caller up-stack established a trace.
 #pragma once
 
@@ -135,7 +135,15 @@ struct TraceContext {
   [[nodiscard]] bool active() const { return tracer != nullptr; }
 };
 
-[[nodiscard]] const TraceContext& CurrentTraceContext();
+namespace detail {
+/// The calling thread's current context; constant-initialized, so every
+/// translation unit reads it without a call.
+inline thread_local TraceContext t_current_context;
+}  // namespace detail
+
+[[nodiscard]] inline const TraceContext& CurrentTraceContext() {
+  return detail::t_current_context;
+}
 
 /// Installs `context` as the calling thread's current context for this
 /// object's lifetime (restores the previous context on destruction).
@@ -154,21 +162,26 @@ class ScopedTraceContext {
 
 /// RAII span. Three flavours:
 /// - `ScopedSpan(name)` — child of the current thread context; disabled
-///   (one branch, nothing else) when no context is active. For components
-///   that never own a tracer (RandomForest, FlowTable).
+///   (one branch, nothing else) when no context is active.
 /// - `ScopedSpan(tracer, name)` — child of the current context when one
 ///   is active, else a root span with a fresh trace id on `tracer`;
-///   disabled when both are null.
+///   disabled when both are null (command-level root spans).
 /// - `ScopedSpan(tracer, name, trace_id)` — root span of an existing
-///   trace (device pipelines: the trace id lives with the device, spans
-///   join it from any call site); disabled when `tracer` is null.
-/// While enabled, the span is the calling thread's current context, so
-/// spans opened below it nest automatically.
+///   trace; disabled when `tracer` is null.
+/// Pipeline stages open theirs through a StageScope (obs/stage.h), with
+/// the sink constructor. While enabled, the span is the calling thread's
+/// current context, so spans opened below it nest automatically.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name);
   ScopedSpan(Tracer* tracer, const char* name);
   ScopedSpan(Tracer* tracer, const char* name, TraceId trace_id);
+  /// Sink form: a span of `trace_id` under `parent_id` (0: a root) on
+  /// `tracer` (not null), started at the caller's clock read.
+  ScopedSpan(Tracer* tracer, const char* name, TraceId trace_id,
+             SpanId parent_id, std::uint64_t start_ns) {
+    Begin(tracer, name, trace_id, parent_id, start_ns);
+  }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ~ScopedSpan() { End(); }
@@ -182,13 +195,15 @@ class ScopedSpan {
   /// wrap expensive formatting in `if (span.enabled())`.
   void AddArg(std::string key, std::string value);
 
-  /// Ends the span early, records it and restores the previous thread
-  /// context; idempotent. Returns elapsed ns (0 when disabled).
+  /// Ends the span early (now, or at the caller's clock read), records it
+  /// and restores the previous thread context; idempotent. Returns
+  /// elapsed ns (0 when disabled).
   std::uint64_t End();
+  std::uint64_t End(std::uint64_t end_ns);
 
  private:
   void Begin(Tracer* tracer, const char* name, TraceId trace_id,
-             SpanId parent_id);
+             SpanId parent_id, std::uint64_t start_ns);
 
   Tracer* tracer_ = nullptr;
   SpanRecord record_;

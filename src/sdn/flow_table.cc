@@ -4,8 +4,7 @@
 
 #include "util/mutex.h"
 
-#include "obs/profiler.h"
-#include "obs/trace.h"
+#include "obs/stage.h"
 #include "util/check.h"
 #include "util/shard.h"
 
@@ -226,7 +225,7 @@ std::size_t FlowTable::EvictOneKey(Shard& shard) {
 }
 
 std::uint64_t FlowTable::Add(FlowRule rule, std::uint64_t now_ns) {
-  obs::ScopedSpan span("sentinel_flowtable_add");
+  obs::StageScope stage(obs::Stage::kFlowAdd);
   rule.installed_at_ns = now_ns;
   if (handles_.installed_total != nullptr)
     handles_.installed_total->Increment();
@@ -415,7 +414,7 @@ const FlowRule* FlowTable::Lookup(const net::ParsedPacket& packet,
 FlowTable::MatchResult FlowTable::Match(const net::ParsedPacket& packet,
                                         PortId in_port, std::uint64_t now_ns,
                                         std::size_t frame_bytes) const {
-  SENTINEL_PROFILE_SCOPE("flow.match");
+  obs::StageScope stage(obs::Stage::kFlowMatch);
   return Resolve(packet, in_port, [&](const FlowRule* best) {
     MatchResult result;
     if (best != nullptr) FillMatchResult(*best, now_ns, frame_bytes, result);

@@ -1,7 +1,6 @@
 #include "sdn/switch.h"
 
-#include "obs/profiler.h"
-#include "obs/scoped_timer.h"
+#include "obs/stage.h"
 #include "sdn/controller.h"
 
 namespace sentinel::sdn {
@@ -16,10 +15,7 @@ void SoftwareSwitch::set_metrics(obs::MetricsRegistry* registry) {
     handles_ = SwitchMetrics{};
     return;
   }
-  handles_.ingress_ns = &registry->GetHistogram(
-      "sentinel_switch_ingress_ns",
-      "end-to-end datapath time per injected frame (lookup + actions, "
-      "including any controller packet-in handling)");
+  handles_.ingress_ns = obs::StageHistogram(registry, obs::Stage::kIngress);
   handles_.received_total = &registry->GetCounter(
       "sentinel_switch_received_total", "frames injected into the datapath");
   handles_.forwarded_total = &registry->GetCounter(
@@ -43,8 +39,7 @@ void SoftwareSwitch::AttachPort(PortId port, PortOutput output) {
 void SoftwareSwitch::DetachPort(PortId port) { ports_.erase(port); }
 
 bool SoftwareSwitch::Inject(PortId in_port, const net::Frame& frame) {
-  obs::ScopedTimer ingress_timer(handles_.ingress_ns);
-  SENTINEL_PROFILE_SCOPE("switch.inject");
+  obs::StageScope stage(obs::Stage::kIngress, handles_.ingress_ns);
   ++counters_.received;
   if (handles_.received_total != nullptr) handles_.received_total->Increment();
   net::ParsedPacket packet;

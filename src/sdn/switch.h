@@ -67,8 +67,8 @@ class SoftwareSwitch {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
-  /// Attaches datapath telemetry: the `sentinel_switch_ingress_ns`
-  /// histogram timing Inject() end-to-end, registry counters mirroring the
+  /// Attaches datapath telemetry: the ingress stage's histogram timing
+  /// Inject() end-to-end (obs/stage.h), registry counters mirroring the
   /// Counters struct, and the embedded flow table's series (see
   /// FlowTable::set_metrics). nullptr detaches.
   void set_metrics(obs::MetricsRegistry* registry);

@@ -7,8 +7,7 @@
 #include <utility>
 
 #include "obs/log.h"
-#include "obs/profiler.h"
-#include "obs/scoped_timer.h"
+#include "obs/stage.h"
 
 namespace sentinel::util {
 
@@ -150,7 +149,7 @@ void ExecuteRange(ParallelForState& state) {
     if (begin >= state.total) return;
     const std::size_t end = std::min(begin + state.grain, state.total);
     if (!state.aborted.load(std::memory_order_relaxed)) {
-      SENTINEL_PROFILE_SCOPE("thread_pool.parallel_chunk");
+      obs::StageScope stage(obs::Stage::kParallelChunk);
       try {
         for (std::size_t i = begin; i < end; ++i) state.fn(i);
       } catch (...) {

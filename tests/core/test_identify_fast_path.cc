@@ -235,8 +235,8 @@ TEST(IdentifyFastPath, BatchCountsMatchPerCallCounts) {
       "sentinel_identifier_edit_distance_total",
       "sentinel_identifier_tiebreak_total",
       "sentinel_identifier_editdist_pruned_total"};
-  const char* const kHistograms[] = {"sentinel_identifier_classification_ns",
-                                     "sentinel_identifier_discrimination_ns"};
+  const char* const kHistograms[] = {"sentinel_stage_bank_scan_ns",
+                                     "sentinel_stage_tie_break_ns"};
   const auto totals = [&](bool batched) {
     obs::MetricsRegistry registry;
     identifier.set_metrics(&registry);
@@ -257,7 +257,7 @@ TEST(IdentifyFastPath, BatchCountsMatchPerCallCounts) {
   auto per_call = totals(false);
   EXPECT_EQ(totals(true), per_call);
   const std::uint64_t reached_stage2 =
-      per_call["sentinel_identifier_discrimination_ns"];
+      per_call["sentinel_stage_tie_break_ns"];
   EXPECT_EQ(per_call["sentinel_identifier_identify_total"], probes.size());
   EXPECT_GT(per_call["sentinel_identifier_multi_match_total"], 0u);
   // Some probes matched nothing, and the open-set gate rejected some of
@@ -278,7 +278,7 @@ TEST(IdentifyFastPath, StageTimingsSurvive) {
   identifier.set_metrics(&registry);
   identifier.Train(ToExamples(dataset));
   const auto& discrimination =
-      registry.GetHistogram("sentinel_identifier_discrimination_ns", "");
+      registry.GetHistogram("sentinel_stage_tie_break_ns", "");
   const auto expect_timed = [](const core::IdentificationResult& result) {
     EXPECT_GT(result.classification_time.count(), 0);
     if (result.matched_types.size() > 1) {

@@ -1,6 +1,7 @@
 // POST request hardening at the telemetry/serving HTTP layer, one test
 // per rejection class (405 unregistered path, 501 Transfer-Encoding,
-// 411 missing length, 413 oversized body, 415 wrong media type), plus
+// 411 missing length, 413 oversized body, 415 wrong media type, 400 for a
+// malformed request line or conflicting Content-Length headers), plus
 // the dispatch contract with the two-phase PostRoutes backend: Retry-After
 // rendering, and — over a real socket — a pipelined burst whose requests
 // are all admitted before the first response is collected, and the
@@ -452,6 +453,50 @@ TEST(HttpHardeningTest, HugeDeclaredLengthGets413WithoutBodyUpload) {
   server.Stop();
   EXPECT_NE(response.find("HTTP/1.1 413"), std::string::npos);
   EXPECT_TRUE(backend.submissions.empty());
+}
+
+// RFC 9112 section 6.3: Content-Length headers that disagree make the
+// body boundary unknowable. The server answers 400 and closes; it must not
+// pick one length and parse the rest of the body as the next request.
+TEST(HttpHardeningTest, ConflictingContentLengthsGet400AndClose) {
+  FakePostRoutes backend;
+  TelemetryServer server(nullptr, nullptr, {.serve_threads = 1});
+  server.set_post_routes(&backend, {"/identify"}, {"application/json"});
+  server.Start();
+  std::thread serving([&] { server.Serve(/*max_requests=*/1); });
+  const std::string response = RawRoundTrip(
+      server,
+      "POST /identify HTTP/1.1\r\nHost: x\r\n"
+      "Content-Type: application/json\r\n"
+      "Content-Length: 5\r\nContent-Length: 0\r\n\r\nhello"
+      "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  serving.join();
+  server.Stop();
+  const auto heads = ResponseHeads(response);
+  ASSERT_EQ(heads.size(), 1u) << response;
+  EXPECT_TRUE(HeadIs(heads[0], 400, /*keep_alive=*/false)) << heads[0];
+  EXPECT_NE(response.find("conflicting Content-Length"), std::string::npos);
+  EXPECT_TRUE(backend.submissions.empty());
+}
+
+// A request line without a method or a path (here an empty one) is a
+// malformed request, not an unsupported method: 400, then close.
+TEST(HttpHardeningTest, MalformedRequestLineGets400AndClose) {
+  FakePostRoutes backend;
+  TelemetryServer server(nullptr, nullptr, {.serve_threads = 1});
+  server.set_post_routes(&backend, {"/identify"}, {"application/json"});
+  server.Start();
+  std::thread serving([&] { server.Serve(/*max_requests=*/1); });
+  const std::string response = RawRoundTrip(
+      server,
+      "\r\n\r\n"
+      "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  serving.join();
+  server.Stop();
+  const auto heads = ResponseHeads(response);
+  ASSERT_EQ(heads.size(), 1u) << response;
+  EXPECT_TRUE(HeadIs(heads[0], 400, /*keep_alive=*/false)) << heads[0];
+  EXPECT_NE(response.find("malformed request line"), std::string::npos);
 }
 
 }  // namespace

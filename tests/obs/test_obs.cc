@@ -1,11 +1,12 @@
 // Unit tests for the observability substrate: instrument semantics,
-// exposition formats, scoped timers, structured logging, and a
+// exposition formats, stage scopes, structured logging, and a
 // ThreadPool::ParallelFor hammer that TSan uses to vet the lock-free
 // hot path (this test binary is part of the CI sanitizer job).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -15,7 +16,9 @@
 
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
+#include "obs/profiler.h"
+#include "obs/stage.h"
+#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace sentinel::obs {
@@ -214,30 +217,107 @@ TEST(RegistryTest, JsonRendersAllInstrumentKinds) {
   EXPECT_NE(json.find("\"count\""), std::string::npos);
 }
 
-TEST(ScopedTimerTest, NullHistogramIsNoOp) {
-  ScopedTimer timer(static_cast<Histogram*>(nullptr));
-  EXPECT_EQ(timer.Stop(), 0u);
+TEST(StageScopeTest, DetachedScopeRecordsNothing) {
+  // No histogram, no profiler, no trace context: nothing to feed.
+  StageScope stage(Stage::kFlowMatch);
+  EXPECT_FALSE(stage.traced());
+  stage.JoinTrace(7);  // no tracer given: a no-op
+  EXPECT_FALSE(stage.traced());
+  stage.End();
+  StageScope device(Stage::kCapture, nullptr, nullptr);
+  device.JoinTrace(7);
+  EXPECT_FALSE(device.traced());
 }
 
-TEST(ScopedTimerTest, NullRegistryIsNoOp) {
-  ScopedTimer timer(static_cast<MetricsRegistry*>(nullptr), "sentinel_x_ns");
-  EXPECT_EQ(timer.Stop(), 0u);
+TEST(StageScopeTest, NullRegistryAttachesNoHistogram) {
+  for (const StageRow& row : kStageTable)
+    EXPECT_EQ(StageHistogram(nullptr, row.stage), nullptr) << row.name;
 }
 
-TEST(ScopedTimerTest, ObservesExactlyOnce) {
-  Histogram h(Histogram::DefaultLatencyBoundsNs());
+TEST(StageScopeTest, ObservesExactlyOnce) {
+  MetricsRegistry registry;
+  Histogram* histogram = StageHistogram(&registry, Stage::kEnforce);
   {
-    ScopedTimer timer(&h);
-    timer.Stop();
-    timer.Stop();  // idempotent
-  }                // destructor must not double-observe
-  EXPECT_EQ(h.Count(), 1u);
+    StageScope stage(Stage::kEnforce, histogram);
+    stage.End();
+    stage.End();  // idempotent
+  }               // destructor must not double-observe
+  EXPECT_EQ(histogram->Count(), 1u);
 }
 
-TEST(ScopedTimerTest, DestructorObservesWhenNotStopped) {
-  Histogram h(Histogram::DefaultLatencyBoundsNs());
-  { ScopedTimer timer(&h); }
-  EXPECT_EQ(h.Count(), 1u);
+TEST(StageScopeTest, DestructorObservesWhenNotEnded) {
+  MetricsRegistry registry;
+  Histogram* histogram = StageHistogram(&registry, Stage::kEnforce);
+  { StageScope stage(Stage::kEnforce, histogram); }
+  EXPECT_EQ(histogram->Count(), 1u);
+}
+
+TEST(StageScopeTest, HistogramsFollowTheTable) {
+  MetricsRegistry registry;
+  // A row with help text gets `<name>_ns`; a row without has none.
+  Histogram* ingress = StageHistogram(&registry, Stage::kIngress);
+  ASSERT_NE(ingress, nullptr);
+  EXPECT_EQ(&registry.GetHistogram("sentinel_stage_ingress_ns"), ingress);
+  EXPECT_EQ(StageHistogram(&registry, Stage::kFlowMatch), nullptr);
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("# HELP sentinel_stage_ingress_ns end-to-end datapath"),
+            std::string::npos);
+  EXPECT_EQ(text.find("flow_match"), std::string::npos);
+}
+
+TEST(StageScopeTest, EverySinkGetsTheCallersTimes) {
+  MetricsRegistry registry;
+  Histogram* histogram = StageHistogram(&registry, Stage::kBankScan);
+  Profiler profiler;
+  ScopedProfiler scoped_profiler(&profiler);
+  Tracer tracer;
+  const auto start = StageClock::now();
+  const auto end = start + std::chrono::microseconds(250);
+  {
+    ScopedSpan root(&tracer, "sentinel_test_root");
+    StageScope stage(Stage::kBankScan, histogram, start);
+    EXPECT_TRUE(stage.traced());
+    stage.End(end);
+  }
+  ASSERT_EQ(histogram->Count(), 1u);
+  EXPECT_DOUBLE_EQ(histogram->Read().sum, 250'000.0);
+
+  const auto root = profiler.Snapshot();
+  const auto frame = std::find_if(
+      root.children.begin(), root.children.end(), [](const Profiler::Node& n) {
+        return n.name == "sentinel_stage_bank_scan";
+      });
+  ASSERT_NE(frame, root.children.end());
+  EXPECT_EQ(frame->count, 1u);
+  EXPECT_EQ(frame->total_ns, 250'000u);
+
+  const auto spans = tracer.Snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  const auto& span = spans[0].parent_id != 0 ? spans[0] : spans[1];
+  EXPECT_STREQ(span.name, "sentinel_stage_bank_scan");
+  EXPECT_EQ(span.start_ns, ToNs(start));
+  EXPECT_EQ(span.end_ns, ToNs(end));
+}
+
+TEST(StageScopeTest, JoinTraceRootsTheSpanOnTheDeviceTrace) {
+  Tracer tracer;
+  {
+    // An enclosing context does not adopt a device-trace stage.
+    ScopedSpan outer(&tracer, "sentinel_test_outer");
+    StageScope stage(Stage::kCapture, nullptr, &tracer);
+    EXPECT_FALSE(stage.traced());
+    stage.JoinTrace(41);
+    EXPECT_TRUE(stage.traced());
+    stage.AddArg("k", "v");
+  }
+  const auto spans = tracer.Snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  const auto& span = spans[0].trace_id == 41 ? spans[0] : spans[1];
+  EXPECT_STREQ(span.name, "sentinel_stage_capture");
+  EXPECT_EQ(span.trace_id, 41u);
+  EXPECT_EQ(span.parent_id, 0u);
+  ASSERT_EQ(span.args.size(), 1u);
+  EXPECT_LE(span.start_ns, span.end_ns);
 }
 
 class LogCaptureTest : public ::testing::Test {
@@ -327,11 +407,12 @@ TEST(RegistryConcurrencyTest, ParallelForHammersOneRegistry) {
     Counter& c = registry.GetCounter("sentinel_hammer_total");
     Histogram& h = registry.GetHistogram("sentinel_hammer_ns");
     Gauge& g = registry.GetGauge("sentinel_hammer_gauge");
+    Histogram* ingress = StageHistogram(&registry, Stage::kIngress);
     for (std::size_t k = 0; k < kIters; ++k) {
       c.Increment();
       h.Observe(static_cast<double>(i * kIters + k));
       g.Set(static_cast<double>(i));
-      ScopedTimer timer(&h);
+      StageScope stage(Stage::kIngress, ingress);
     }
     // Rendering concurrently with writes must also be race-free.
     if (i % 64 == 0) (void)registry.RenderPrometheus();
@@ -339,9 +420,11 @@ TEST(RegistryConcurrencyTest, ParallelForHammersOneRegistry) {
 
   EXPECT_EQ(registry.GetCounter("sentinel_hammer_total").Value(),
             kTasks * kIters);
-  // Each iteration observes twice: the explicit Observe and the timer.
+  // Each iteration observes once explicitly and once through its stage.
   EXPECT_EQ(registry.GetHistogram("sentinel_hammer_ns").Count(),
-            2 * kTasks * kIters);
+            kTasks * kIters);
+  EXPECT_EQ(registry.GetHistogram("sentinel_stage_ingress_ns").Count(),
+            kTasks * kIters);
 }
 
 TEST(DefaultRegistryTest, ScopedInstallAndRestore) {

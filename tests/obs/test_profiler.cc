@@ -301,9 +301,9 @@ TEST(ProfilerTest, ParallelForHammerWhileSnapshotting) {
   stop.store(true, std::memory_order_relaxed);
   scraper.join();
   // Pool workers (and the participating caller) run loop bodies inside
-  // the pool's own "thread_pool.parallel_chunk" frame.
+  // the pool's own "sentinel_stage_parallel_chunk" frame.
   const auto root = profiler.Snapshot();
-  const auto* chunk = FindChild(root, "thread_pool.parallel_chunk");
+  const auto* chunk = FindChild(root, "sentinel_stage_parallel_chunk");
   ASSERT_NE(chunk, nullptr);
   const auto* hammer = FindChild(*chunk, "hammer");
   ASSERT_NE(hammer, nullptr);

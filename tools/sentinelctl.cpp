@@ -92,7 +92,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/quality.h"
-#include "obs/scoped_timer.h"
+#include "obs/stage.h"
 #include "obs/telemetry_server.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -306,35 +306,33 @@ struct IdentifiedDevice {
 /// same decision story.
 std::vector<IdentifiedDevice> RunIdentificationPipeline(
     core::SecurityService& service, const std::string& pcap_path,
-    core::EnforcementEngine& engine, core::DeviceMonitor& monitor,
     obs::MetricsRegistry* metrics, obs::Tracer* tracer,
     obs::FlightRecorder* recorder) {
+  core::DeviceMonitor monitor;
+  core::EnforcementEngine engine(net::MacAddress({0x02, 0, 0x5e, 0, 0, 1}),
+                                 net::Ipv4Address(192, 168, 1, 1));
   monitor.set_tracer(tracer);
   monitor.set_flight_recorder(recorder);
-  obs::Histogram* stage_identify_ns = nullptr;
   if (metrics != nullptr) {
     monitor.set_metrics(metrics);
     engine.set_metrics(metrics);
     service.set_metrics(metrics);
-    stage_identify_ns = &metrics->GetHistogram(
-        "sentinel_stage_identify_ns",
-        "device-type identification time (Security Service assessment)");
   }
+  obs::Histogram* identify_ns =
+      obs::StageHistogram(metrics, obs::Stage::kIdentify);
 
   std::vector<IdentifiedDevice> out;
   const auto HandleCapture = [&](const core::CompletedCapture& capture) {
     if (capture.packet_count < 4) return;  // too little traffic to judge
-    // Root span of the device's identification story: identify, tie-break
-    // and enforce all nest under the trace id the monitor assigned.
-    obs::ScopedSpan device_span(tracer, "sentinel_identification",
-                                capture.trace_id);
-    if (device_span.enabled())
-      device_span.AddArg("mac", capture.device_mac.ToString());
-    obs::ScopedTimer identify_timer(stage_identify_ns);
-    obs::ScopedSpan identify_span("sentinel_stage_identify");
+    // Root span of the device's identification story: identify, bank
+    // scan, tie-break and enforce all nest under the trace id the monitor
+    // assigned.
+    obs::StageScope device(obs::Stage::kIdentifyEnforce, nullptr, tracer);
+    device.JoinTrace(capture.trace_id);
+    if (device.traced()) device.AddArg("mac", capture.device_mac.ToString());
+    obs::StageScope identify(obs::Stage::kIdentify, identify_ns);
     const auto assessment = service.Assess(capture.full, capture.fixed);
-    identify_span.End();
-    identify_timer.Stop();
+    identify.End();
     core::JournalAssessment(recorder, capture.device_mac, assessment);
 
     core::EnforcementRule rule;
@@ -410,12 +408,8 @@ int CmdIdentify(const Options& options) {
   obs::Tracer tracer;
   obs::Tracer* trace_sink = options.trace_out.empty() ? nullptr : &tracer;
   auto service = LoadSecurityService(options.positional[0], metrics);
-  core::DeviceMonitor monitor;
-  core::EnforcementEngine engine(net::MacAddress({0x02, 0, 0x5e, 0, 0, 1}),
-                                 net::Ipv4Address(192, 168, 1, 1));
   const auto devices_seen = RunIdentificationPipeline(
-      service, options.positional[1], engine, monitor, metrics, trace_sink,
-      nullptr);
+      service, options.positional[1], metrics, trace_sink, nullptr);
   for (const auto& device : devices_seen) PrintAssessment(device);
   DumpMetrics(registry, options);
   DumpTrace(tracer, options);
@@ -429,11 +423,8 @@ int CmdExplain(const Options& options) {
   obs::Tracer* trace_sink = options.trace_out.empty() ? nullptr : &tracer;
   obs::FlightRecorder recorder;
   auto service = LoadSecurityService(options.positional[0], nullptr);
-  core::DeviceMonitor monitor;
-  core::EnforcementEngine engine(net::MacAddress({0x02, 0, 0x5e, 0, 0, 1}),
-                                 net::Ipv4Address(192, 168, 1, 1));
-  RunIdentificationPipeline(service, options.positional[1], engine, monitor,
-                            nullptr, trace_sink, &recorder);
+  RunIdentificationPipeline(service, options.positional[1], nullptr,
+                            trace_sink, &recorder);
   if (options.positional.size() >= 3) {
     const auto mac = net::MacAddress::Parse(options.positional[2]);
     if (!mac.has_value())
