@@ -386,10 +386,7 @@ int main(int argc, char** argv) {
   }
   {
     ChurnConfig sharded = diff;
-    sharded.gateway.flow_table.shard_count = 8;
-    sharded.gateway.controller.shard_count = 8;
-    sharded.gateway.enforcement.shard_count = 8;
-    sharded.gateway.module.monitor_shard_count = 8;
+    sharded.gateway.shard_count = 8;
     ScriptedAssessor assessor(11);
     diff_sharded = RunChurnScenario(sharded, assessor);
   }
@@ -406,15 +403,11 @@ int main(int argc, char** argv) {
   soak.session_count = quick ? 50'000 : 120'000;
   soak.device_count = quick ? 2'048 : 4'096;
   soak.chatter_packets = 2;
-  soak.gateway.flow_table = {.shard_count = kShards,
-                             .max_exact_rules_per_shard = 256};
-  soak.gateway.controller = {.learning_switch = true,
-                             .shard_count = kShards,
-                             .max_learned_macs_per_shard = 64};
-  soak.gateway.enforcement = {.shard_count = kShards,
-                              .max_rules_per_shard = 256};
-  soak.gateway.module.monitor_shard_count = kShards;
-  soak.gateway.module.max_sessions_per_shard = 256;
+  soak.gateway.shard_count = kShards;
+  soak.gateway.max_flow_rules_per_shard = 256;
+  soak.gateway.max_learned_macs_per_shard = 64;
+  soak.gateway.max_enforcement_rules_per_shard = 256;
+  soak.gateway.max_sessions_per_shard = 256;
   ScriptedAssessor soak_assessor(11);
   const auto soak_begin = Clock::now();
   const ChurnReport report = RunChurnScenario(soak, soak_assessor);

@@ -3,19 +3,14 @@
 // network, collects the setup-phase packets of new devices, and emits a
 // fingerprint once the setup phase ends.
 //
-// Fleet scale: session state is sharded by device MAC (util/shard.h) with a
-// per-shard lock, and optionally bounded — a per-shard LRU cap evicts the
-// least-recently-active session, preferring already-fingerprinted devices
-// (whose capture buffers are long freed) over ones mid-capture. Defaults
-// (one shard, no cap) reproduce the seed behavior exactly.
+// Fleet scale: session state is a util::MacTable, sharded by device MAC
+// with a per-shard lock, and optionally bounded — a per-shard LRU cap
+// evicts the least-recently-active session, preferring already-fingerprinted
+// devices (whose capture buffers are long freed) over ones mid-capture.
+// Defaults (one shard, no cap) reproduce the seed behavior exactly.
 #pragma once
 
-#include <atomic>
-#include <functional>
-#include <list>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "capture/setup_phase.h"
@@ -23,8 +18,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/mac_table.h"
 
 namespace sentinel::core {
 
@@ -37,6 +31,17 @@ struct CompletedCapture {
   /// The device's provenance trace (0 when the monitor has no tracer);
   /// downstream stages open their spans on it so one trace id follows the
   /// device from first packet to installed rule.
+  obs::TraceId trace_id = 0;
+};
+
+/// What one observed packet did to its device's session.
+struct Observation {
+  /// The completed capture, when this packet ended the setup phase.
+  std::optional<CompletedCapture> capture;
+  /// True while the device's setup phase is still being captured: known
+  /// and not yet fingerprinted after this packet.
+  bool collecting = false;
+  /// The device's provenance trace (0 when the monitor has no tracer).
   obs::TraceId trace_id = 0;
 };
 
@@ -56,11 +61,12 @@ class DeviceMonitor {
       : DeviceMonitor(DeviceMonitorOptions{.setup = config}) {}
   explicit DeviceMonitor(DeviceMonitorOptions options);
 
-  /// Feeds one packet (already attributed to its source device by MAC).
-  /// Returns a capture when this packet completes a device's setup phase.
-  /// Thread-safe per shard; attach tracer/recorder only in single-threaded
-  /// runs (they are driven under the shard lock).
-  std::optional<CompletedCapture> Observe(const net::ParsedPacket& packet);
+  /// Feeds one packet (already attributed to its source device by MAC)
+  /// with one session lookup. The observation carries the capture when
+  /// this packet completes a device's setup phase. Thread-safe per shard;
+  /// attach tracer/recorder only in single-threaded runs (they are driven
+  /// under the shard lock).
+  Observation Observe(const net::ParsedPacket& packet);
 
   /// Clock-driven flush: returns captures of devices whose setup phase
   /// ended by idle timeout (no further packets arrived to trigger it).
@@ -71,16 +77,13 @@ class DeviceMonitor {
   void Forget(const net::MacAddress& mac);
 
   [[nodiscard]] bool IsKnown(const net::MacAddress& mac) const;
-  /// True while the device's setup phase is still being captured (known
-  /// but not yet fingerprinted).
-  [[nodiscard]] bool IsCollecting(const net::MacAddress& mac) const;
-  [[nodiscard]] std::size_t tracked_count() const {
-    return tracked_count_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::size_t tracked_count() const { return states_.size(); }
+  [[nodiscard]] std::size_t shard_count() const {
+    return states_.shard_count();
   }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   /// Sessions evicted by the bounded-memory tier so far.
   [[nodiscard]] std::uint64_t evicted_total() const {
-    return evicted_.load(std::memory_order_relaxed);
+    return states_.evicted_total();
   }
 
   /// Estimated bytes held by the session tables (shards, tracked-device
@@ -104,8 +107,6 @@ class DeviceMonitor {
   void set_flight_recorder(obs::FlightRecorder* recorder) {
     recorder_ = recorder;
   }
-  /// Trace id assigned to `mac` (0 when unknown or untraced).
-  [[nodiscard]] obs::TraceId trace_id(const net::MacAddress& mac) const;
 
  private:
   struct DeviceState {
@@ -114,19 +115,9 @@ class DeviceMonitor {
     std::vector<features::PacketFeatureVector> vectors;
     bool fingerprinted = false;
     obs::TraceId trace_id = 0;
-    /// Position in the shard's recency list (front = most recent packet).
-    std::list<net::MacAddress>::iterator lru_pos;
 
     explicit DeviceState(const capture::SetupPhaseConfig& config)
         : tracker(config) {}
-  };
-
-  struct Shard {
-    mutable Mutex mutex{"monitor.session_shard"};
-    std::unordered_map<net::MacAddress, DeviceState> states
-        SENTINEL_GUARDED_BY(mutex);
-    /// Recency order, front = most recent packet.
-    std::list<net::MacAddress> lru SENTINEL_GUARDED_BY(mutex);
   };
 
   struct MonitorMetrics {
@@ -138,21 +129,15 @@ class DeviceMonitor {
     obs::Gauge* tracked = nullptr;
   };
 
-  [[nodiscard]] Shard& ShardFor(const net::MacAddress& mac) const;
-  /// Evicts one session (LRU, preferring fingerprinted). Returns true if a
-  /// session was evicted.
-  bool EvictOneSession(Shard& shard) SENTINEL_REQUIRES(shard.mutex);
   CompletedCapture Finish(const net::MacAddress& mac, DeviceState& state);
   void SetTrackedGauge() const;
 
   capture::SetupPhaseConfig config_;
-  std::size_t max_sessions_per_shard_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // ordering: relaxed (both) — cross-shard counters read for telemetry and
-  // capacity accounting only; each mutation happens under some shard lock,
-  // and readers only want an eventually consistent total.
-  std::atomic<std::size_t> tracked_count_{0};
-  std::atomic<std::uint64_t> evicted_{0};
+  /// Device session by MAC, recency = last packet; the cap evicts a
+  /// fingerprinted session among the coldest first (its capture buffers
+  /// are freed, and re-observing it just restarts a capture, whereas
+  /// evicting a mid-capture device loses setup packets outright).
+  util::MacTable<DeviceState> states_;
   MonitorMetrics handles_;
   obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;

@@ -11,26 +11,21 @@
 // strict-by-default so a compromised device cannot attack before
 // identification completes.
 //
-// Fleet scale: the rule cache is sharded by device MAC (util/shard.h) with
-// per-shard reader/writer locks — Authorize() takes shared locks only — and
-// optionally bounded by a per-shard LRU cap over installation recency.
-// Defaults (one shard, no cap) reproduce the seed behavior exactly.
+// Fleet scale: the rule cache is a util::MacTable, sharded by device MAC
+// with per-shard reader/writer locks — Authorize() takes shared locks only
+// — and optionally bounded by a per-shard LRU cap over installation
+// recency. Defaults (one shard, no cap) reproduce the seed behavior
+// exactly.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "core/isolation.h"
 #include "net/frame.h"
 #include "obs/metrics.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/mac_table.h"
 
 namespace sentinel::core {
 
@@ -64,9 +59,7 @@ class EnforcementEngine {
   /// Install/Remove. Concurrent policy checks should go through
   /// Authorize()/EffectiveLevel(), which copy state out under the lock.
   [[nodiscard]] const EnforcementRule* Find(const net::MacAddress& mac) const;
-  [[nodiscard]] std::size_t rule_count() const {
-    return rule_count_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t rule_count() const { return rules_.size(); }
 
   /// Policy check for one packet. Infrastructure traffic (ARP, EAPoL,
   /// ICMPv6 ND, DHCP, and DNS/NTP to the gateway) is always permitted so
@@ -83,10 +76,12 @@ class EnforcementEngine {
 
   [[nodiscard]] net::MacAddress gateway_mac() const { return gateway_mac_; }
   [[nodiscard]] net::Ipv4Address gateway_ip() const { return gateway_ip_; }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
+  [[nodiscard]] std::size_t shard_count() const {
+    return rules_.shard_count();
+  }
   /// Rules evicted by the bounded-memory tier so far.
   [[nodiscard]] std::uint64_t evicted_total() const {
-    return evicted_.load(std::memory_order_relaxed);
+    return rules_.evicted_total();
   }
 
   /// Attaches enforcement telemetry: the enforce stage's histogram (rule
@@ -107,20 +102,6 @@ class EnforcementEngine {
     obs::Gauge* rules = nullptr;
   };
 
-  /// One rule plus its position in the shard's recency list (front = most
-  /// recently installed).
-  struct Entry {
-    EnforcementRule rule;
-    std::list<net::MacAddress>::iterator lru_pos;
-  };
-  struct Shard {
-    mutable SharedMutex mutex{"enforcement.rule_shard"};
-    std::unordered_map<net::MacAddress, Entry> rules
-        SENTINEL_GUARDED_BY(mutex);
-    /// Installation recency, front = most recently installed.
-    std::list<net::MacAddress> lru SENTINEL_GUARDED_BY(mutex);
-  };
-
   /// Copy-out snapshot of a device's rule taken under the shard's reader
   /// lock — everything Authorize() needs without letting a pointer escape.
   struct RuleProbe {
@@ -132,18 +113,12 @@ class EnforcementEngine {
       const net::MacAddress& mac,
       const std::optional<net::Ipv4Address>& endpoint) const;
 
-  [[nodiscard]] Shard& ShardFor(const net::MacAddress& mac) const;
   [[nodiscard]] bool IsInfrastructure(const net::ParsedPacket& packet) const;
 
   net::MacAddress gateway_mac_;
   net::Ipv4Address gateway_ip_;
-  std::size_t max_rules_per_shard_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  // ordering: relaxed (both) — cross-shard telemetry counters; mutations
-  // happen under a shard's writer lock and readers only want an eventually
-  // consistent total, never an ordering edge.
-  std::atomic<std::size_t> rule_count_{0};
-  std::atomic<std::uint64_t> evicted_{0};
+  /// Device rule by MAC, recency = installation order.
+  util::MacTable<EnforcementRule> rules_;
   EnforcementMetrics handles_;
 };
 

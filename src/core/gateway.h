@@ -18,13 +18,19 @@ struct SecurityGatewayConfig {
       net::MacAddress({0x02, 0x00, 0x5e, 0x00, 0x00, 0x01});
   net::Ipv4Address gateway_ip = net::Ipv4Address(192, 168, 1, 1);
   sdn::PortId wan_port = 1;
-  SentinelModuleConfig module;
-  /// Fleet-scale knobs: shard counts and bounded-memory caps for the
-  /// MAC-keyed datapath state. Defaults (one shard, no caps) keep the
-  /// single-tenant behavior bit-identical.
-  sdn::FlowTableOptions flow_table;
-  sdn::ControllerOptions controller;
-  EnforcementOptions enforcement;
+  /// Setup-phase detection for the device monitor.
+  capture::SetupPhaseConfig setup;
+  /// Fleet-scale knobs for the four MAC-keyed tables (flow rules, learned
+  /// stations, enforcement rules, device sessions). One shard count for
+  /// all four, rounded up to a power of two, and one bounded-memory cap
+  /// per table, per shard (0 = unbounded). Defaults (one shard, no caps)
+  /// keep the single-tenant behavior bit-identical.
+  std::size_t shard_count = 1;
+  /// Flow rules matching on eth_src (sdn::FlowTableOptions).
+  std::size_t max_flow_rules_per_shard = 0;
+  std::size_t max_learned_macs_per_shard = 0;
+  std::size_t max_enforcement_rules_per_shard = 0;
+  std::size_t max_sessions_per_shard = 0;
   /// When true the gateway also runs its network services (DHCP, DNS, NTP,
   /// ARP/ICMP responder) on the datapath, answering devices directly. Off
   /// by default for deployments where an existing router keeps those roles.

@@ -37,10 +37,10 @@ std::vector<LegacyDeviceReport> MigrateLegacyNetwork(
     report.type_identifier = assessment.type_identifier;
     report.requires_user_notification = assessment.requires_user_notification;
 
-    EnforcementRule rule;
-    rule.device_mac = mac;
-    rule.device_type = assessment.type_identifier;
-
+    // Start from the service's verdict, which stands for vulnerable (or
+    // strict) devices. The service lists endpoints only for restricted
+    // verdicts, so the overrides below start from an empty allowlist.
+    EnforcementRule rule = MakeEnforcementRule(mac, assessment);
     if (!assessment.type.has_value()) {
       // Unidentifiable: strict isolation in the untrusted overlay.
       rule.level = IsolationLevel::kStrict;
@@ -62,11 +62,6 @@ std::vector<LegacyDeviceReport> MigrateLegacyNetwork(
         }
         report.needs_manual_reintroduction = true;
       }
-    } else {
-      // Vulnerable (or service says strict): keep the service's verdict.
-      rule.level = assessment.level;
-      rule.allowed_endpoints = assessment.allowed_endpoints;
-      rule.allowed_endpoint_names = assessment.allowed_endpoint_names;
     }
     report.level = rule.level;
     engine.Install(std::move(rule));

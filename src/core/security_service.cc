@@ -4,6 +4,17 @@
 
 namespace sentinel::core {
 
+EnforcementRule MakeEnforcementRule(const net::MacAddress& mac,
+                                    const AssessmentResult& assessment) {
+  EnforcementRule rule;
+  rule.device_mac = mac;
+  rule.level = assessment.level;
+  rule.device_type = assessment.type_identifier;
+  rule.allowed_endpoints = assessment.allowed_endpoints;
+  rule.allowed_endpoint_names = assessment.allowed_endpoint_names;
+  return rule;
+}
+
 SecurityService::SecurityService(DeviceIdentifier identifier,
                                  VulnerabilityDb db)
     : identifier_(std::move(identifier)), db_(std::move(db)) {}

@@ -35,6 +35,11 @@ struct AssessmentResult {
   IdentificationResult identification;
 };
 
+/// The enforcement rule a gateway installs for `mac` on `assessment`: its
+/// isolation level, type and endpoint allowlist.
+EnforcementRule MakeEnforcementRule(const net::MacAddress& mac,
+                                    const AssessmentResult& assessment);
+
 /// Client-side interface: what a Security Gateway needs from the IoTSSP.
 /// Production deployments talk to a remote service (possibly over Tor, per
 /// the paper); tests and examples use the in-process implementation below.

@@ -6,16 +6,20 @@
 
 namespace sentinel::core {
 
+namespace {
+/// Flow-rule priorities: drop rules outrank the WAN allow rules, and both
+/// outrank the learning switch's forwarding rules (priority 10).
+constexpr std::uint16_t kDropPriority = 100;
+constexpr std::uint16_t kAllowPriority = 50;
+}  // namespace
+
 SentinelModule::SentinelModule(SecurityServiceClient& service,
                                EnforcementEngine& engine,
                                SentinelModuleConfig config)
     : service_(service),
       engine_(engine),
       config_(config),
-      monitor_(DeviceMonitorOptions{
-          .setup = config.setup,
-          .shard_count = config.monitor_shard_count,
-          .max_sessions_per_shard = config.max_sessions_per_shard}) {
+      monitor_(config.monitor) {
   infrastructure_.insert(engine_.gateway_mac());
 }
 
@@ -51,16 +55,15 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
   }
 
   // 1. Monitoring & fingerprinting of device traffic.
-  if (auto capture = monitor_.Observe(packet)) {
-    HandleCompletedCapture(*capture);
-  }
+  const Observation seen = monitor_.Observe(packet);
+  if (seen.capture.has_value()) HandleCompletedCapture(*seen.capture);
 
   // Devices still in their setup phase are not policed yet (the paper
   // identifies first, then enforces): forward their traffic so the setup
   // procedure — including cloud registration — can complete, but do not
   // let the learning switch install fast-path rules that would bypass the
   // monitor while fingerprinting is in progress.
-  if (monitor_.IsCollecting(packet.src_mac)) {
+  if (seen.collecting) {
     const bool public_dst = packet.dst_ip && packet.dst_ip->IsV4() &&
                             !packet.dst_ip->v4().IsPrivate() &&
                             !packet.dst_ip->v4().IsMulticast() &&
@@ -76,7 +79,7 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
   // 2. Policy.
   const Decision decision = engine_.Authorize(packet);
   if (!decision.allow) {
-    InstallFlowRule(sw, packet, /*allow_wan=*/false);
+    InstallFlowRule(sw, packet, /*allow_wan=*/false, seen.trace_id);
     ++drops_installed_;
     if (handles_.drops_total != nullptr) {
       handles_.drops_total->Increment();
@@ -108,7 +111,7 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
                          !packet.dst_ip->v4().IsMulticast() &&
                          packet.dst_ip->v4() != net::Ipv4Address::Broadcast();
   if (is_public && config_.wan_port != 0) {
-    InstallFlowRule(sw, packet, /*allow_wan=*/true);
+    InstallFlowRule(sw, packet, /*allow_wan=*/true, seen.trace_id);
     if (handles_.wan_allows_total != nullptr)
       handles_.wan_allows_total->Increment();
     sw.PacketOut(config_.wan_port, in_port, frame);
@@ -155,13 +158,7 @@ void SentinelModule::HandleCompletedCapture(const CompletedCapture& capture) {
                     {"type", assessment.type_identifier},
                     {"level", static_cast<int>(assessment.level)});
 
-  EnforcementRule rule;
-  rule.device_mac = capture.device_mac;
-  rule.level = assessment.level;
-  rule.device_type = assessment.type_identifier;
-  rule.allowed_endpoints = assessment.allowed_endpoints;
-  rule.allowed_endpoint_names = assessment.allowed_endpoint_names;
-  engine_.Install(std::move(rule));
+  engine_.Install(MakeEnforcementRule(capture.device_mac, assessment));
 
   if (on_identification_) {
     on_identification_(IdentificationEvent{capture.device_mac, assessment});
@@ -170,17 +167,17 @@ void SentinelModule::HandleCompletedCapture(const CompletedCapture& capture) {
 
 void SentinelModule::InstallFlowRule(sdn::SoftwareSwitch& sw,
                                      const net::ParsedPacket& packet,
-                                     bool allow_wan) {
+                                     bool allow_wan, obs::TraceId trace_id) {
   obs::StageScope stage(obs::Stage::kFlowInstall, nullptr, tracer_);
-  if (tracer_ != nullptr) stage.JoinTrace(monitor_.trace_id(packet.src_mac));
+  stage.JoinTrace(trace_id);
   sdn::FlowRule rule;
   rule.match.eth_src = packet.src_mac;
   if (allow_wan) {
-    rule.priority = config_.allow_priority;
+    rule.priority = kAllowPriority;
     rule.match.ip_dst = packet.dst_ip->v4();
     rule.actions = {sdn::ActionOutput{config_.wan_port}};
   } else {
-    rule.priority = config_.drop_priority;
+    rule.priority = kDropPriority;
     rule.match.eth_dst = packet.dst_mac;
     if (packet.dst_ip && packet.dst_ip->IsV4() &&
         !packet.dst_ip->v4().IsPrivate()) {

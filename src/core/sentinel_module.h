@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/quality.h"
 #include "sdn/controller.h"
+#include "util/relaxed_counter.h"
 
 namespace sentinel::core {
 
@@ -20,15 +21,9 @@ struct SentinelModuleConfig {
   /// Switch port leading to the Internet (public destinations are output
   /// here when permitted).
   sdn::PortId wan_port = 0;
-  /// Priorities used for installed flow rules. Drop rules outrank the
-  /// learning switch's forwarding rules.
-  std::uint16_t drop_priority = 100;
-  std::uint16_t allow_priority = 50;
-  capture::SetupPhaseConfig setup;
-  /// Device-session table shards (rounded up to a power of two).
-  std::size_t monitor_shard_count = 1;
-  /// Bounded-memory tier for device sessions (per shard; 0 = unbounded).
-  std::size_t max_sessions_per_shard = 0;
+  /// The embedded device monitor: setup-phase detection, session shards
+  /// and the session cap.
+  DeviceMonitorOptions monitor;
 };
 
 /// Notification issued when a device has been identified and its
@@ -85,7 +80,7 @@ class SentinelModule : public sdn::ControllerModule {
 
   DeviceMonitor& monitor() { return monitor_; }
   [[nodiscard]] std::uint64_t drops_installed() const {
-    return drops_installed_;
+    return drops_installed_.Load();
   }
 
   /// Attaches controller-module telemetry and propagates the registry to
@@ -125,8 +120,10 @@ class SentinelModule : public sdn::ControllerModule {
   void HandleCompletedCapture(const CompletedCapture& capture);
   /// Installs the flow rule for a policed frame: a drop rule, or with
   /// `allow_wan` a specific WAN allow rule for a permitted public flow.
+  /// `trace_id` is the source device's provenance trace.
   void InstallFlowRule(sdn::SoftwareSwitch& sw,
-                       const net::ParsedPacket& packet, bool allow_wan);
+                       const net::ParsedPacket& packet, bool allow_wan,
+                       obs::TraceId trace_id);
 
   struct ModuleMetrics {
     obs::Histogram* identify_ns = nullptr;
@@ -143,7 +140,8 @@ class SentinelModule : public sdn::ControllerModule {
   std::unordered_set<net::MacAddress> infrastructure_;
   std::function<void(const IdentificationEvent&)> on_identification_;
   std::function<void(const IncidentEvent&)> on_incident_;
-  std::uint64_t drops_installed_ = 0;
+  /// Bumped on the packet-in path, which may run on several threads.
+  util::RelaxedCounter drops_installed_;
   ModuleMetrics handles_;
   obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;

@@ -110,7 +110,6 @@ void SimHost::Deliver(const net::Frame& frame) {
 
 Network::Network(std::uint64_t seed)
     : switch_("security-gateway"),
-      controller_(/*learning_switch=*/true),
       cpu_(/*service_ns=*/150'000, /*filter_extra_ns=*/6'000),
       rng_(seed) {
   switch_.SetController(&controller_);

@@ -5,15 +5,14 @@
 // monitoring tasks, fingerprint generation and to manage communications
 // with IoT Security Service."
 //
-// Fleet scale: the learning-switch MAC table is sharded by MAC
-// (util/shard.h) with per-shard locks, and optionally bounded — a per-shard
-// LRU cap evicts the least-recently-learned station so a gateway tracking
-// churning fleets (ROADMAP: 1M+ MACs) holds bounded memory. Defaults (one
-// shard, no cap) reproduce the seed behavior exactly.
+// Fleet scale: the learning-switch MAC table is a util::MacTable — sharded
+// by MAC with per-shard locks, and optionally bounded — a per-shard LRU cap
+// evicts the least-recently-learned station so a gateway tracking churning
+// fleets (ROADMAP: 1M+ MACs) holds bounded memory. Defaults (one shard, no
+// cap) reproduce the seed behavior exactly.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,8 +21,7 @@
 
 #include "obs/metrics.h"
 #include "sdn/switch.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/mac_table.h"
 
 namespace sentinel::sdn {
 
@@ -48,7 +46,6 @@ class ControllerModule {
 };
 
 struct ControllerOptions {
-  bool learning_switch = true;
   /// Learned-MAC table shards; rounded up to a power of two.
   std::size_t shard_count = 1;
   /// Bounded-memory tier: maximum learned stations per shard; 0 (default)
@@ -56,13 +53,11 @@ struct ControllerOptions {
   std::size_t max_learned_macs_per_shard = 0;
 };
 
-/// A simple synchronous controller: learning-switch forwarding by default,
-/// with a module chain consulted first.
+/// A simple synchronous controller: learning-switch forwarding, with a
+/// module chain consulted first.
 class Controller {
  public:
   Controller() : Controller(ControllerOptions{}) {}
-  explicit Controller(bool learning_switch)
-      : Controller(ControllerOptions{.learning_switch = learning_switch}) {}
   explicit Controller(ControllerOptions options);
 
   /// Registers a module; modules run in registration order.
@@ -72,7 +67,7 @@ class Controller {
 
   /// Entry point invoked by switches on table miss, with the packet the
   /// switch already parsed from `frame`. Applies modules, then
-  /// (optionally) MAC-learning forwarding: learned destination -> output +
+  /// MAC-learning forwarding: learned destination -> output +
   /// install exact flow, unknown -> flood. Safe to call concurrently once
   /// the module chain is registered (module handlers own their internal
   /// synchronization; the MAC table locks per shard).
@@ -87,10 +82,10 @@ class Controller {
   /// Snapshot of the learned MAC -> port table (copies; the live table is
   /// sharded and lock-protected).
   [[nodiscard]] std::unordered_map<std::uint64_t, PortId> mac_table() const;
-  [[nodiscard]] std::size_t learned_mac_count() const;
+  [[nodiscard]] std::size_t learned_mac_count() const { return macs_.size(); }
   /// Stations evicted by the bounded-memory tier so far.
   [[nodiscard]] std::uint64_t macs_evicted_total() const {
-    return evicted_.load(std::memory_order_relaxed);
+    return macs_.evicted_total();
   }
 
   /// Attaches the `sentinel_controller_mac_evicted_total` counter and the
@@ -98,29 +93,12 @@ class Controller {
   void set_metrics(obs::MetricsRegistry* registry);
 
  private:
-  /// Learned station, plus its position in the shard's recency list
-  /// (front = most recently learned).
-  struct MacEntry {
-    PortId port = 0;
-    std::list<std::uint64_t>::iterator lru_pos;
-  };
-  struct MacShard {
-    mutable SharedMutex mutex{"controller.mac_shard"};
-    std::unordered_map<std::uint64_t, MacEntry> macs SENTINEL_GUARDED_BY(mutex);
-    std::list<std::uint64_t> lru SENTINEL_GUARDED_BY(mutex);
-  };
-
-  [[nodiscard]] MacShard& ShardFor(std::uint64_t mac) const;
   /// Records src_mac -> port, refreshing recency and evicting past the cap.
   void Learn(std::uint64_t mac, PortId port);
-  [[nodiscard]] std::optional<PortId> LookupPort(std::uint64_t mac) const;
 
   std::vector<std::shared_ptr<ControllerModule>> modules_;
-  bool learning_switch_;
-  std::size_t max_learned_macs_per_shard_;
-  std::vector<std::unique_ptr<MacShard>> mac_shards_;
-  // ordering: relaxed — statistics counter (macs_evicted_total()).
-  std::atomic<std::uint64_t> evicted_{0};
+  /// Learned station -> port, recency = last time the station was learned.
+  util::MacTable<PortId> macs_;
   obs::Counter* evicted_metric_ = nullptr;
   obs::Gauge* learned_gauge_ = nullptr;
 };

@@ -234,19 +234,25 @@ TEST(DeviceMonitor, EmitsCaptureWhenSetupPhaseEnds) {
   for (int i = 0; i < 6; ++i) {
     p.timestamp_ns = static_cast<std::uint64_t>(i) * 10'000'000;
     p.size_bytes = 100 + static_cast<std::uint32_t>(i);
-    EXPECT_FALSE(monitor.Observe(p).has_value());
+    const Observation seen = monitor.Observe(p);
+    EXPECT_FALSE(seen.capture.has_value());
+    EXPECT_TRUE(seen.collecting);
   }
   // The idle gap: next packet completes the capture.
   p.timestamp_ns = 10'000'000'000;
-  const auto capture = monitor.Observe(p);
+  const Observation done = monitor.Observe(p);
+  const auto& capture = done.capture;
   ASSERT_TRUE(capture.has_value());
+  EXPECT_FALSE(done.collecting);
   EXPECT_EQ(capture->device_mac, kDevA);
   EXPECT_EQ(capture->packet_count, 6u);
   EXPECT_EQ(capture->full.size(), 6u);  // distinct sizes, no dedup
 
   // A device is fingerprinted once.
   p.timestamp_ns = 11'000'000'000;
-  EXPECT_FALSE(monitor.Observe(p).has_value());
+  const Observation later = monitor.Observe(p);
+  EXPECT_FALSE(later.capture.has_value());
+  EXPECT_FALSE(later.collecting);
   EXPECT_TRUE(monitor.IsKnown(kDevA));
 }
 
@@ -280,7 +286,7 @@ TEST(DeviceMonitor, ForgetAllowsRefingerprinting) {
   p.src_mac = kDevA;
   p.size_bytes = 60;
   monitor.Observe(p);
-  ASSERT_TRUE(monitor.Observe(p).has_value());  // max_packets reached
+  ASSERT_TRUE(monitor.Observe(p).capture.has_value());  // max_packets reached
   monitor.Forget(kDevA);
   EXPECT_FALSE(monitor.IsKnown(kDevA));
   monitor.Observe(p);

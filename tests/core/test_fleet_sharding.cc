@@ -1,16 +1,22 @@
 // Fleet-scale state bounds outside the flow table: the controller's
 // learned-MAC table, the enforcement rule cache and the device monitor's
 // session table are all sharded and optionally LRU-capped. These tests pin
-// the cap arithmetic, the eviction counters, and the seed-equivalence of
-// shard count 1.
+// the cap arithmetic, the eviction counters, the monitor's preferred
+// victim, the seed-equivalence of shard count 1, and that concurrent
+// ingress through one gateway reaches the one-thread outcome.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/device_monitor.h"
 #include "core/enforcement.h"
+#include "core/gateway.h"
 #include "net/frame.h"
+#include "netsim/churn.h"
 #include "sdn/controller.h"
 #include "sdn/switch.h"
 
@@ -40,8 +46,7 @@ TEST(FleetSharding, ControllerMacTableBoundedByPerShardCap) {
   sw.AttachPort(1, [](const net::Frame&) {});
   sw.AttachPort(2, [](const net::Frame&) {});
   sdn::Controller controller(sdn::ControllerOptions{
-      .learning_switch = true, .shard_count = 4,
-      .max_learned_macs_per_shard = 8});
+      .shard_count = 4, .max_learned_macs_per_shard = 8});
   sw.SetController(&controller);
 
   // 500 distinct stations appear; the table may hold at most 4*8 of them.
@@ -131,6 +136,141 @@ TEST(FleetSharding, MonitorSessionTableBoundedByPerShardCap) {
   // evicted and would be fingerprinted anew on return.
   EXPECT_TRUE(monitor.IsKnown(Mac(399)));
   EXPECT_FALSE(monitor.IsKnown(Mac(0)));
+}
+
+/// One packet from `mac`; two packets fingerprint a device under
+/// PreferredVictimMonitor's setup config.
+void ObserveFrom(DeviceMonitor& monitor, std::uint64_t mac) {
+  monitor.Observe(net::ParseFrame(Frame(mac, 0xbeef)));
+}
+
+DeviceMonitor PreferredVictimMonitor(std::size_t cap) {
+  capture::SetupPhaseConfig setup;
+  setup.max_packets = 2;
+  return DeviceMonitor(DeviceMonitorOptions{
+      .setup = setup, .shard_count = 1, .max_sessions_per_shard = cap});
+}
+
+TEST(FleetSharding, MonitorEvictsFingerprintedSessionAmongColdestFirst) {
+  DeviceMonitor monitor = PreferredVictimMonitor(10);
+  ObserveFrom(monitor, 1);  // oldest, still collecting
+  ObserveFrom(monitor, 2);
+  ObserveFrom(monitor, 2);  // fingerprinted, second coldest
+  for (std::uint64_t mac = 10; mac < 18; ++mac) ObserveFrom(monitor, mac);
+  ASSERT_EQ(monitor.tracked_count(), 10u);
+
+  ObserveFrom(monitor, 100);  // overflows the cap
+  EXPECT_EQ(monitor.evicted_total(), 1u);
+  EXPECT_FALSE(monitor.IsKnown(Mac(2)));
+  EXPECT_TRUE(monitor.IsKnown(Mac(1)));
+}
+
+TEST(FleetSharding, MonitorPrefersNoFingerprintedSessionBeyondScanDepth) {
+  DeviceMonitor monitor = PreferredVictimMonitor(9);
+  // Eight collecting sessions are the coldest; the fingerprinted one is
+  // ninth from the cold end, past the scan.
+  for (std::uint64_t mac = 10; mac < 18; ++mac) ObserveFrom(monitor, mac);
+  ObserveFrom(monitor, 2);
+  ObserveFrom(monitor, 2);
+  ASSERT_EQ(monitor.tracked_count(), 9u);
+
+  ObserveFrom(monitor, 100);
+  EXPECT_EQ(monitor.evicted_total(), 1u);
+  EXPECT_FALSE(monitor.IsKnown(Mac(10)));
+  EXPECT_TRUE(monitor.IsKnown(Mac(11)));
+  EXPECT_TRUE(monitor.IsKnown(Mac(2)));
+}
+
+/// A device's frames through the gateway: a setup burst to the gateway's
+/// DNS, then, after the idle gap ends the capture, frames to three public
+/// endpoints that policy allows or drops. Sizes and ports vary by device
+/// so the scripted assessor spreads the fleet over every level.
+std::vector<net::Frame> DeviceSession(std::uint64_t device,
+                                      const net::MacAddress& gateway_mac) {
+  constexpr std::size_t kSetupFrames = 15;
+  constexpr std::size_t kFrames = 20;
+  std::vector<net::Frame> frames;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const bool setup = i < kSetupFrames;
+    const std::uint64_t ts =
+        i * 100'000'000 + (setup ? 0 : 10'000'000'000);  // idle gap
+    net::UdpDatagram udp;
+    udp.src_port = static_cast<std::uint16_t>(40000 + device % 7);
+    udp.dst_port = setup ? 53 : static_cast<std::uint16_t>(8000 + i % 3);
+    udp.payload.assign(1 + (device * 13 + i * 5) % 64,
+                       static_cast<std::uint8_t>(device));
+    const net::Ipv4Address dst =
+        setup ? net::Ipv4Address(192, 168, 1, 1)
+              : net::Ipv4Address(52, 8, static_cast<std::uint8_t>(i % 3),
+                                 static_cast<std::uint8_t>(device % 5));
+    frames.push_back(net::BuildUdp4Frame(
+        ts, Mac(device), gateway_mac,
+        net::Ipv4Address(10, 1, static_cast<std::uint8_t>(device >> 8),
+                         static_cast<std::uint8_t>(device)),
+        dst, udp));
+  }
+  return frames;
+}
+
+struct GatewayOutcome {
+  std::vector<IsolationLevel> levels;  // per device, in device order
+  std::size_t rule_count = 0;
+  std::uint64_t drops_installed = 0;
+  std::size_t flow_rules = 0;
+};
+
+/// Drives `threads` x `devices_per_thread` device sessions through one
+/// gateway at shard count 8; each thread owns its devices, so every
+/// device's frames arrive in order.
+GatewayOutcome RunConcurrentIngress(std::size_t threads,
+                                    std::size_t devices_per_thread) {
+  netsim::ScriptedAssessor assessor(5);
+  SecurityGatewayConfig config;
+  config.shard_count = 8;
+  SecurityGateway gateway(assessor, config);
+  gateway.AttachWan([](const net::Frame&) {});
+  gateway.AttachPort(2, [](const net::Frame&) {});
+
+  const std::size_t device_count = threads * devices_per_thread;
+  std::vector<std::vector<net::Frame>> sessions;
+  for (std::uint64_t d = 0; d < device_count; ++d)
+    sessions.push_back(DeviceSession(d + 1, config.gateway_mac));
+
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t d = t; d < device_count; d += threads)
+        for (const net::Frame& frame : sessions[d]) gateway.Ingress(2, frame);
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  GatewayOutcome outcome;
+  for (std::uint64_t d = 0; d < device_count; ++d)
+    outcome.levels.push_back(gateway.enforcement().EffectiveLevel(Mac(d + 1)));
+  outcome.rule_count = gateway.enforcement().rule_count();
+  outcome.drops_installed = gateway.sentinel().drops_installed();
+  outcome.flow_rules = gateway.datapath().flow_table().size();
+  return outcome;
+}
+
+TEST(FleetSharding, ConcurrentGatewayIngressMatchesOneThread) {
+  const GatewayOutcome one = RunConcurrentIngress(1, 800);
+  const GatewayOutcome four = RunConcurrentIngress(4, 200);
+  EXPECT_EQ(four.levels, one.levels);
+  EXPECT_EQ(four.rule_count, one.rule_count);
+  EXPECT_EQ(four.drops_installed, one.drops_installed);
+  EXPECT_EQ(four.flow_rules, one.flow_rules);
+  // The scenario exercises every policy path it compares.
+  EXPECT_EQ(one.rule_count, 800u);
+  EXPECT_GT(one.drops_installed, 0u);
+  EXPECT_GT(one.flow_rules, one.drops_installed);
+  for (const IsolationLevel level :
+       {IsolationLevel::kStrict, IsolationLevel::kRestricted,
+        IsolationLevel::kTrusted}) {
+    EXPECT_NE(std::count(one.levels.begin(), one.levels.end(), level), 0)
+        << ToString(level);
+  }
 }
 
 TEST(FleetSharding, ShardCountOneMatchesMultiShardDecisions) {

@@ -335,13 +335,7 @@ std::vector<IdentifiedDevice> RunIdentificationPipeline(
     identify.End();
     core::JournalAssessment(recorder, capture.device_mac, assessment);
 
-    core::EnforcementRule rule;
-    rule.device_mac = capture.device_mac;
-    rule.level = assessment.level;
-    rule.device_type = assessment.type_identifier;
-    rule.allowed_endpoints = assessment.allowed_endpoints;
-    rule.allowed_endpoint_names = assessment.allowed_endpoint_names;
-    engine.Install(std::move(rule));
+    engine.Install(core::MakeEnforcementRule(capture.device_mac, assessment));
     out.push_back(
         IdentifiedDevice{capture.device_mac, capture.packet_count, assessment});
   };
@@ -351,7 +345,8 @@ std::vector<IdentifiedDevice> RunIdentificationPipeline(
   std::uint64_t last_ns = 0;
   for (const auto& packet : trace.Parse()) {
     last_ns = std::max(last_ns, packet.timestamp_ns);
-    if (const auto capture = monitor.Observe(packet)) HandleCapture(*capture);
+    if (const auto seen = monitor.Observe(packet); seen.capture)
+      HandleCapture(*seen.capture);
   }
   // Devices whose setup phase never hit the idle gap in-capture.
   for (const auto& capture :
