@@ -10,10 +10,8 @@
 // uncontended acquire through a named site costs one extra try_lock
 // branch, and an *unnamed* mutex costs one pointer test.
 //
-// The whole layer compiles out when SENTINEL_LOCK_TELEMETRY is not
-// defined (CMake -DSENTINEL_LOCK_TELEMETRY=OFF): the wrappers then keep
-// no site pointer and forward straight to the std primitive, so disabled
-// builds are bit-identical to the pre-telemetry wrappers.
+// The layer is always built in; SetLockTelemetryEnabled(false) stops the
+// recording at run time, leaving each named acquire one relaxed load.
 //
 // This header must stay dependency-light and header-only: it is included
 // by util/mutex.h, which sits underneath both the metrics registry and
@@ -127,7 +125,7 @@ inline LockSiteStats* RegisterLockSite(const char* name) {
 }
 
 /// Runtime master switch consulted on the named-site acquire path.
-/// Defaults to on in builds that compile the telemetry in.
+/// Defaults to on.
 [[nodiscard]] inline bool LockTelemetryEnabled() {
   // ordering: relaxed — see g_lock_telemetry_enabled.
   return lock_internal::g_lock_telemetry_enabled.load(

@@ -26,8 +26,9 @@
 // wait: contended-acquire count, total wait nanoseconds and a log4 wait
 // histogram, all relaxed atomics. The slow path is detected with one
 // try_lock, so an uncontended named acquire pays a branch and one relaxed
-// increment; unnamed mutexes pay a single pointer test. Compiled out
-// entirely (no member, no branch) when SENTINEL_LOCK_TELEMETRY is off.
+// increment; unnamed mutexes pay a single pointer test. The layer is always
+// built in; SetLockTelemetryEnabled(false) turns the recording off at run
+// time.
 #pragma once
 
 #include <condition_variable>
@@ -49,16 +50,11 @@ class SENTINEL_CAPABILITY("mutex") Mutex {
   Mutex() = default;
   /// Names this mutex's contention-telemetry site. Mutexes guarding the
   /// same logical resource (e.g. shards of one table) share a site name.
-#if defined(SENTINEL_LOCK_TELEMETRY)
   explicit Mutex(const char* site) : site_(RegisterLockSite(site)) {}
-#else
-  explicit Mutex(const char* /*site*/) {}
-#endif
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock() SENTINEL_ACQUIRE() {
-#if defined(SENTINEL_LOCK_TELEMETRY)
     if (site_ != nullptr && LockTelemetryEnabled()) {
       // ordering: relaxed — statistics only; see LockSiteStats.
       site_->acquisitions.fetch_add(1, std::memory_order_relaxed);
@@ -70,7 +66,6 @@ class SENTINEL_CAPABILITY("mutex") Mutex {
       DebugSetOwner();
       return;
     }
-#endif
     mu_.lock();
     DebugSetOwner();
   }
@@ -100,9 +95,7 @@ class SENTINEL_CAPABILITY("mutex") Mutex {
   friend class CondVar;
 
   std::mutex mu_;
-#if defined(SENTINEL_LOCK_TELEMETRY)
   LockSiteStats* site_ = nullptr;  // named-site telemetry; null = untracked
-#endif
 #if !defined(NDEBUG)
   // ordering: relaxed — owner_ is only written while mu_ is held, so the
   // mutex itself orders all well-formed accesses; the atomic exists so the
@@ -132,16 +125,11 @@ class SENTINEL_CAPABILITY("shared_mutex") SharedMutex {
   SharedMutex() = default;
   /// Names this mutex's contention-telemetry site (see Mutex). Writer and
   /// reader waits both feed the same site.
-#if defined(SENTINEL_LOCK_TELEMETRY)
   explicit SharedMutex(const char* site) : site_(RegisterLockSite(site)) {}
-#else
-  explicit SharedMutex(const char* /*site*/) {}
-#endif
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
   void Lock() SENTINEL_ACQUIRE() {
-#if defined(SENTINEL_LOCK_TELEMETRY)
     if (site_ != nullptr && LockTelemetryEnabled()) {
       // ordering: relaxed — statistics only; see LockSiteStats.
       site_->acquisitions.fetch_add(1, std::memory_order_relaxed);
@@ -153,7 +141,6 @@ class SENTINEL_CAPABILITY("shared_mutex") SharedMutex {
       DebugSetOwner();
       return;
     }
-#endif
     mu_.lock();
     DebugSetOwner();
   }
@@ -170,7 +157,6 @@ class SENTINEL_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void LockShared() SENTINEL_ACQUIRE_SHARED() {
-#if defined(SENTINEL_LOCK_TELEMETRY)
     if (site_ != nullptr && LockTelemetryEnabled()) {
       // ordering: relaxed — statistics only; see LockSiteStats.
       site_->acquisitions.fetch_add(1, std::memory_order_relaxed);
@@ -181,7 +167,6 @@ class SENTINEL_CAPABILITY("shared_mutex") SharedMutex {
       }
       return;
     }
-#endif
     mu_.lock_shared();
   }
   void UnlockShared() SENTINEL_RELEASE_SHARED() { mu_.unlock_shared(); }
@@ -201,9 +186,7 @@ class SENTINEL_CAPABILITY("shared_mutex") SharedMutex {
 
  private:
   std::shared_mutex mu_;
-#if defined(SENTINEL_LOCK_TELEMETRY)
   LockSiteStats* site_ = nullptr;  // named-site telemetry; null = untracked
-#endif
 #if !defined(NDEBUG)
   // ordering: relaxed — written only under the exclusive lock; atomic only
   // to keep the failing-AssertHeld read defined. See Mutex::owner_.

@@ -80,8 +80,6 @@ TEST(LockTelemetryTest, RecordLockWaitFillsHistogram) {
             1u);
 }
 
-#ifdef SENTINEL_LOCK_TELEMETRY
-
 TEST(LockTelemetryTest, NamedMutexCountsAcquisitions) {
   Mutex mutex("test.acquire_site");
   const LockSiteStats* site = FindSite("test.acquire_site");
@@ -163,8 +161,6 @@ TEST(LockTelemetryTest, SharedMutexFeedsItsSite) {
   }
   EXPECT_GT(site->acquisitions.load(std::memory_order_relaxed), before);
 }
-
-#endif  // SENTINEL_LOCK_TELEMETRY
 
 }  // namespace
 }  // namespace sentinel
