@@ -10,8 +10,8 @@
 #include <cstdio>
 #include <string>
 
-#include "capture/setup_phase.h"
 #include "capture/trace.h"
+#include "core/device_monitor.h"
 #include "core/security_service.h"
 #include "devices/simulator.h"
 #include "net/pcap.h"
@@ -23,24 +23,15 @@ int IdentifyFromPcap(const std::string& path,
                      core::SecurityService& service) {
   std::printf("reading %s...\n", path.c_str());
   capture::Trace trace(net::ReadPcapFile(path));
-  trace.SortByTime();
-  const auto packets = trace.Parse();
-  std::printf("%zu frames, %zu parsed packets\n", trace.size(),
-              packets.size());
+  std::printf("%zu frames\n", trace.size());
 
-  // Split per device and identify each non-infrastructure source.
-  const auto by_mac = capture::SplitBySourceMac(packets);
-  for (const auto& [mac, device_packets] : by_mac) {
-    if (device_packets.size() < 4) continue;  // responders, noise
-    const auto end = capture::DetectSetupPhaseEnd(device_packets);
-    const std::vector<net::ParsedPacket> setup(device_packets.begin(),
-                                               device_packets.begin() +
-                                                   static_cast<long>(end));
-    const auto fingerprint = features::Fingerprint::FromPackets(setup);
-    const auto fixed = features::FixedFingerprint::FromFingerprint(fingerprint);
-    const auto assessment = service.Assess(fingerprint, fixed);
+  // Cut each source's setup phase exactly as the gateway's device monitor
+  // does, and identify every captured device.
+  core::DeviceMonitor monitor;
+  for (const auto& capture : monitor.Replay(std::move(trace))) {
+    const auto assessment = service.Assess(capture.full, capture.fixed);
     std::printf("  %s: %zu setup packets -> %s (isolation: %s)\n",
-                mac.ToString().c_str(), end,
+                capture.device_mac.ToString().c_str(), capture.packet_count,
                 assessment.type ? assessment.type_identifier.c_str()
                                 : "<unknown type>",
                 core::ToString(assessment.level).c_str());

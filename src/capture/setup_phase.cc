@@ -2,40 +2,6 @@
 
 namespace sentinel::capture {
 
-std::size_t DetectSetupPhaseEnd(const std::vector<net::ParsedPacket>& packets,
-                                const SetupPhaseConfig& config) {
-  if (packets.size() <= config.min_packets)
-    return packets.size() > config.max_packets ? config.max_packets
-                                               : packets.size();
-
-  const std::size_t w = config.rate_window_packets;
-  for (std::size_t i = 1; i < packets.size(); ++i) {
-    if (i >= config.max_packets) return config.max_packets;
-    if (i < config.min_packets) continue;
-
-    // Idle-gap criterion.
-    const std::uint64_t gap =
-        packets[i].timestamp_ns - packets[i - 1].timestamp_ns;
-    if (gap >= config.idle_gap_ns) return i;
-
-    // Rate-drop criterion: compare the rate over the last w packets with
-    // the rate over the first w packets.
-    if (i + 1 >= 2 * w) {
-      const auto span_ns = [&](std::size_t a, std::size_t b) {
-        return static_cast<double>(packets[b].timestamp_ns -
-                                   packets[a].timestamp_ns) +
-               1.0;
-      };
-      const double head_rate = static_cast<double>(w) / span_ns(0, w - 1);
-      const double tail_rate =
-          static_cast<double>(w) / span_ns(i - w + 1, i);
-      if (tail_rate < config.rate_drop_factor * head_rate) return i;
-    }
-  }
-  return packets.size() > config.max_packets ? config.max_packets
-                                             : packets.size();
-}
-
 bool SetupPhaseTracker::Offer(const net::ParsedPacket& packet) {
   if (done_) return false;
   if (count_ > 0 && count_ >= config_.min_packets &&

@@ -1,11 +1,13 @@
 // Setup-phase boundary detection (paper Sect. IV-A): "The end of the setup
 // phase can be automatically identified by a decrease in the rate of packets
 // sent." A new device emits a dense burst of traffic while associating and
-// registering; once it settles into standby its packet rate collapses.
+// registering; once it settles into standby its packet rate collapses. The
+// rule applied here: the phase ends at the first silence of at least
+// idle_gap_ns after min_packets packets, or at max_packets packets. The
+// gateway's DeviceMonitor is its one user, live and on recorded traces.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/frame.h"
 
@@ -20,20 +22,10 @@ struct SetupPhaseConfig {
   /// Hard cap: fingerprinting needs only the first packets; stop collecting
   /// after this many regardless of rate.
   std::size_t max_packets = 256;
-  /// Alternative rate criterion: the phase also ends when the packet rate
-  /// over the trailing window falls below `rate_drop_factor` times the rate
-  /// over the leading window of the same span.
-  double rate_drop_factor = 0.1;
-  std::size_t rate_window_packets = 10;
 };
 
-/// Returns the number of leading packets that belong to the setup phase of
-/// a device whose per-device packet stream is `packets` (time-ordered).
-std::size_t DetectSetupPhaseEnd(const std::vector<net::ParsedPacket>& packets,
-                                const SetupPhaseConfig& config = {});
-
-/// Incremental variant used by the live DeviceMonitor: feed packets one at
-/// a time; Done() flips once the phase boundary is reached.
+/// Feed a device's packets one at a time; Done() flips once the phase
+/// boundary is reached.
 class SetupPhaseTracker {
  public:
   explicit SetupPhaseTracker(SetupPhaseConfig config = {})

@@ -97,6 +97,21 @@ std::vector<CompletedCapture> DeviceMonitor::FlushIdle(std::uint64_t now_ns) {
   return out;
 }
 
+std::vector<CompletedCapture> DeviceMonitor::Replay(capture::Trace trace) {
+  trace.SortByTime();
+  const std::vector<net::ParsedPacket> packets = trace.Parse();
+  std::vector<CompletedCapture> out;
+  for (const net::ParsedPacket& packet : packets) {
+    Observation seen = Observe(packet);
+    if (seen.capture) out.push_back(std::move(*seen.capture));
+  }
+  if (packets.empty()) return out;
+  for (CompletedCapture& capture :
+       FlushIdle(packets.back().timestamp_ns + config_.idle_gap_ns))
+    out.push_back(std::move(capture));
+  return out;
+}
+
 void DeviceMonitor::Forget(const net::MacAddress& mac) {
   if (states_.Erase(mac.ToUint64())) SetTrackedGauge();
 }

@@ -1,7 +1,9 @@
 // Device monitoring on the Security Gateway (paper Fig. 1 "Device
 // monitoring" + "Fingerprinting" blocks): tracks every MAC seen on the
 // network, collects the setup-phase packets of new devices, and emits a
-// fingerprint once the setup phase ends.
+// fingerprint once the setup phase ends. It is the one place that decides
+// which packets form a device's fingerprint: live frames arrive through
+// Observe, recorded traces (pcap files, POST /ingest) through Replay.
 //
 // Fleet scale: session state is a util::MacTable, sharded by device MAC
 // with a per-shard lock, and optionally bounded — a per-shard LRU cap
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "capture/setup_phase.h"
+#include "capture/trace.h"
 #include "features/fingerprint.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -71,6 +74,11 @@ class DeviceMonitor {
   /// Clock-driven flush: returns captures of devices whose setup phase
   /// ended by idle timeout (no further packets arrived to trigger it).
   std::vector<CompletedCapture> FlushIdle(std::uint64_t now_ns);
+
+  /// Feeds a recorded trace through Observe in time order, then flushes
+  /// one idle gap past its last frame, and returns the captures in the
+  /// order they completed. Frames that fail to parse are skipped.
+  std::vector<CompletedCapture> Replay(capture::Trace trace);
 
   /// Forgets a device (e.g. after it leaves the network), so a future
   /// appearance is fingerprinted anew.

@@ -88,13 +88,23 @@ const EnforcementRule* EnforcementEngine::Find(
                      [](const EnforcementRule* rule) { return rule; });
 }
 
+EnforcementEngine::RuleTag EnforcementEngine::Tag(const net::MacAddress& mac,
+                                                  bool with_type) const {
+  return rules_.Read(mac.ToUint64(), [with_type](const EnforcementRule* rule) {
+    RuleTag tag;
+    if (rule == nullptr) return tag;
+    tag.cookie = rule->Hash();
+    if (with_type) tag.device_type = rule->device_type;
+    return tag;
+  });
+}
+
 EnforcementEngine::RuleProbe EnforcementEngine::Probe(
     const net::MacAddress& mac,
     const std::optional<net::Ipv4Address>& endpoint) const {
   return rules_.Read(mac.ToUint64(), [&endpoint](const EnforcementRule* rule) {
     RuleProbe probe;
     if (rule == nullptr) return probe;
-    probe.has_rule = true;
     probe.level = rule->level;
     if (endpoint.has_value())
       probe.endpoint_allowed = rule->AllowsEndpoint(*endpoint);
@@ -133,40 +143,29 @@ Decision EnforcementEngine::Authorize(const net::ParsedPacket& packet) const {
   }
 
   // Remote (Internet) destination?
-  const bool is_public = packet.dst_ip && packet.dst_ip->IsV4() &&
-                         !packet.dst_ip->v4().IsPrivate() &&
-                         !packet.dst_ip->v4().IsMulticast() &&
-                         packet.dst_ip->v4() != net::Ipv4Address::Broadcast();
-
+  const bool is_public = HasPublicDestination(packet);
   const RuleProbe src = Probe(
       packet.src_mac, is_public ? std::optional<net::Ipv4Address>(
                                       packet.dst_ip->v4())
                                 : std::nullopt);
-  const auto decided_by =
-      src.has_rule ? std::optional<net::MacAddress>(packet.src_mac)
-                   : std::nullopt;
 
   if (is_public) {
     switch (src.level) {
       case IsolationLevel::kTrusted:
         return {.allow = true,
-                .reason = "trusted device, full Internet access",
-                .decided_by = decided_by};
+                .reason = "trusted device, full Internet access"};
       case IsolationLevel::kRestricted:
         if (src.endpoint_allowed) {
           return {.allow = true,
-                  .reason = "restricted device, allowlisted endpoint",
-                  .decided_by = decided_by};
+                  .reason = "restricted device, allowlisted endpoint"};
         }
         if (handles_.denied_total != nullptr) handles_.denied_total->Increment();
         return {.allow = false,
-                .reason = "restricted device, endpoint not allowlisted",
-                .decided_by = decided_by};
+                .reason = "restricted device, endpoint not allowlisted"};
       case IsolationLevel::kStrict:
         if (handles_.denied_total != nullptr) handles_.denied_total->Increment();
         return {.allow = false,
-                .reason = "strict isolation, no Internet access",
-                .decided_by = decided_by};
+                .reason = "strict isolation, no Internet access"};
     }
   }
 
@@ -174,16 +173,12 @@ Decision EnforcementEngine::Authorize(const net::ParsedPacket& packet) const {
   // the gateway mirrors it only to same-overlay ports, so permitting it
   // here is safe.
   if (packet.dst_mac.IsMulticast() || packet.dst_mac.IsBroadcast()) {
-    return {.allow = true,
-            .reason = "local discovery within overlay",
-            .decided_by = decided_by};
+    return {.allow = true, .reason = "local discovery within overlay"};
   }
 
   // Traffic addressed to the gateway itself.
   if (packet.dst_mac == gateway_mac_) {
-    return {.allow = true,
-            .reason = "gateway services",
-            .decided_by = decided_by};
+    return {.allow = true, .reason = "gateway services"};
   }
 
   // Device-to-device: both ends must share an overlay (Fig. 3).
@@ -192,13 +187,10 @@ Decision EnforcementEngine::Authorize(const net::ParsedPacket& packet) const {
     return {.allow = true,
             .reason = OverlayOf(src.level) == Overlay::kTrusted
                           ? "both devices in trusted network"
-                          : "both devices in untrusted network",
-            .decided_by = decided_by};
+                          : "both devices in untrusted network"};
   }
   if (handles_.denied_total != nullptr) handles_.denied_total->Increment();
-  return {.allow = false,
-          .reason = "cross-overlay communication blocked",
-          .decided_by = decided_by};
+  return {.allow = false, .reason = "cross-overlay communication blocked"};
 }
 
 std::size_t EnforcementEngine::MemoryBytes() const {

@@ -33,9 +33,17 @@ namespace sentinel::core {
 struct Decision {
   bool allow = false;
   std::string reason;
-  /// The enforcement rule that decided (device MAC), if any.
-  std::optional<net::MacAddress> decided_by;
 };
+
+/// True when the packet is addressed to a public IPv4 unicast host: the
+/// Internet-bound traffic that policy allowlists and the WAN port carries.
+[[nodiscard]] inline bool HasPublicDestination(
+    const net::ParsedPacket& packet) {
+  return packet.dst_ip && packet.dst_ip->IsV4() &&
+         !packet.dst_ip->v4().IsPrivate() &&
+         !packet.dst_ip->v4().IsMulticast() &&
+         packet.dst_ip->v4() != net::Ipv4Address::Broadcast();
+}
 
 struct EnforcementOptions {
   /// Rule-cache shards; rounded up to a power of two. 1 (default) keeps
@@ -56,9 +64,20 @@ class EnforcementEngine {
   /// Removes a device's rule; returns true if one existed.
   bool Remove(const net::MacAddress& mac);
   /// Single-writer API: the returned pointer is valid only until the next
-  /// Install/Remove. Concurrent policy checks should go through
-  /// Authorize()/EffectiveLevel(), which copy state out under the lock.
+  /// Install/Remove. Concurrent readers go through Authorize(),
+  /// EffectiveLevel() or Tag(), which copy state out under the lock.
   [[nodiscard]] const EnforcementRule* Find(const net::MacAddress& mac) const;
+
+  /// What a flow rule for a device's traffic carries of its enforcement
+  /// rule: the rule hash as the cookie (0 without a rule) and, when asked
+  /// for, the device type.
+  struct RuleTag {
+    std::uint64_t cookie = 0;
+    std::string device_type;
+  };
+  /// Copies `mac`'s rule tag out under the shard's reader lock; the device
+  /// type only `with_type`. Safe to call concurrently with Install/Remove.
+  [[nodiscard]] RuleTag Tag(const net::MacAddress& mac, bool with_type) const;
   [[nodiscard]] std::size_t rule_count() const { return rules_.size(); }
 
   /// Policy check for one packet. Infrastructure traffic (ARP, EAPoL,
@@ -105,7 +124,6 @@ class EnforcementEngine {
   /// Copy-out snapshot of a device's rule taken under the shard's reader
   /// lock — everything Authorize() needs without letting a pointer escape.
   struct RuleProbe {
-    bool has_rule = false;
     IsolationLevel level = IsolationLevel::kStrict;
     bool endpoint_allowed = false;
   };

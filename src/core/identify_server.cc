@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "capture/trace.h"
+#include "core/device_monitor.h"
 #include "features/fingerprint_codec.h"
 #include "net/byte_io.h"
 #include "obs/json.h"
@@ -18,10 +19,6 @@ namespace sentinel::core {
 namespace {
 
 constexpr std::size_t kMacBytes = 6;
-/// /ingest devices with fewer setup-phase packets than this are skipped:
-/// a fingerprint that short carries no identification signal and would
-/// only burn a queue slot.
-constexpr std::size_t kMinIngestPackets = 4;
 /// Per-probe service time Retry-After assumes before any batch has been
 /// measured.
 constexpr double kFallbackServiceNs = 1e6;  // 1 ms
@@ -415,7 +412,7 @@ IdentifyServer::PendingHttp IdentifyServer::BuildIngest(
       content_type != "application/vnd.tcpdump.pcap")
     return ImmediateError(415, "unsupported media type for /ingest");
   capture::TraceError error;
-  const auto trace = capture::Trace::FromPcap(
+  auto trace = capture::Trace::FromPcap(
       std::span<const std::uint8_t>(
           reinterpret_cast<const std::uint8_t*>(body.data()), body.size()),
       &error);
@@ -425,19 +422,12 @@ IdentifyServer::PendingHttp IdentifyServer::BuildIngest(
   PendingHttp pending;
   pending.kind = PendingHttp::Kind::kIngest;
   pending.frames = trace->size();
-  const auto by_device = capture::SplitBySourceMac(trace->Parse());
-  for (const auto& [mac, packets] : by_device) {
-    if (packets.size() < kMinIngestPackets) {
-      ++pending.devices_skipped;
-      continue;
-    }
-    auto full = features::Fingerprint::FromPackets(packets);
-    if (full.empty()) {
-      ++pending.devices_skipped;
-      continue;
-    }
-    AdmitHttpProbe(mac, std::move(full), pending);
-  }
+  // The gateway's setup-phase capture decides which frames fingerprint a
+  // device; a source that never completes one is skipped.
+  DeviceMonitor monitor;
+  for (CompletedCapture& capture : monitor.Replay(std::move(*trace)))
+    AdmitHttpProbe(capture.device_mac, std::move(capture.full), pending);
+  pending.devices_skipped = monitor.tracked_count() - pending.probes.size();
   return pending;
 }
 

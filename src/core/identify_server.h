@@ -144,9 +144,10 @@ class IdentifyServer : public obs::PostRoutes {
   /// Parses and admits one POST body. Routes: /identify with
   /// application/json `{"mac": "...", "packets": [[23 uints]...]}` or
   /// application/octet-stream (6 raw MAC octets + SFP fingerprint
-  /// bytes); /ingest with a classic pcap image whose frames are split
-  /// per source MAC and fingerprinted. Malformed input becomes a 400
-  /// collected later — never an exception.
+  /// bytes); /ingest with a classic pcap image, replayed through the
+  /// gateway's setup-phase capture (DeviceMonitor::Replay) into one probe
+  /// per captured device. Malformed input becomes a 400 collected later —
+  /// never an exception.
   [[nodiscard]] std::uint64_t Submit(const std::string& path,
                                      const std::string& content_type,
                                      std::string body) override;

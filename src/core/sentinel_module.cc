@@ -56,7 +56,7 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
 
   // 1. Monitoring & fingerprinting of device traffic.
   const Observation seen = monitor_.Observe(packet);
-  if (seen.capture.has_value()) HandleCompletedCapture(*seen.capture);
+  if (seen.capture.has_value()) Onboard(*seen.capture);
 
   // Devices still in their setup phase are not policed yet (the paper
   // identifies first, then enforces): forward their traffic so the setup
@@ -64,11 +64,7 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
   // let the learning switch install fast-path rules that would bypass the
   // monitor while fingerprinting is in progress.
   if (seen.collecting) {
-    const bool public_dst = packet.dst_ip && packet.dst_ip->IsV4() &&
-                            !packet.dst_ip->v4().IsPrivate() &&
-                            !packet.dst_ip->v4().IsMulticast() &&
-                            packet.dst_ip->v4() != net::Ipv4Address::Broadcast();
-    if (public_dst && config_.wan_port != 0) {
+    if (HasPublicDestination(packet) && config_.wan_port != 0) {
       sw.PacketOut(config_.wan_port, in_port, frame);
     } else {
       sw.PacketOut(sdn::kPortFlood, in_port, frame);
@@ -79,7 +75,12 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
   // 2. Policy.
   const Decision decision = engine_.Authorize(packet);
   if (!decision.allow) {
-    InstallFlowRule(sw, packet, /*allow_wan=*/false, seen.trace_id);
+    // The rule is copied out under the cache's lock: an Install or a cap
+    // eviction on another thread may replace it at any moment.
+    const EnforcementEngine::RuleTag tag =
+        engine_.Tag(packet.src_mac, /*with_type=*/on_incident_ != nullptr);
+    InstallFlowRule(sw, packet, /*allow_wan=*/false, tag.cookie,
+                    seen.trace_id);
     ++drops_installed_;
     if (handles_.drops_total != nullptr) {
       handles_.drops_total->Increment();
@@ -95,10 +96,8 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
                       {"mac", packet.src_mac.ToString()},
                       {"reason", decision.reason});
     if (on_incident_) {
-      const EnforcementRule* rule = engine_.Find(packet.src_mac);
-      on_incident_(IncidentEvent{
-          packet.src_mac, rule != nullptr ? rule->device_type : std::string(),
-          decision.reason});
+      on_incident_(
+          IncidentEvent{packet.src_mac, tag.device_type, decision.reason});
     }
     return Verdict::kHandled;  // drop: do not forward
   }
@@ -106,12 +105,10 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
   // 3. Permitted Internet-bound traffic: forward on the WAN port with a
   // specific allow rule (so the learning switch never installs a broader
   // device->gateway rule that would bypass the endpoint allowlist).
-  const bool is_public = packet.dst_ip && packet.dst_ip->IsV4() &&
-                         !packet.dst_ip->v4().IsPrivate() &&
-                         !packet.dst_ip->v4().IsMulticast() &&
-                         packet.dst_ip->v4() != net::Ipv4Address::Broadcast();
-  if (is_public && config_.wan_port != 0) {
-    InstallFlowRule(sw, packet, /*allow_wan=*/true, seen.trace_id);
+  if (HasPublicDestination(packet) && config_.wan_port != 0) {
+    InstallFlowRule(sw, packet, /*allow_wan=*/true,
+                    engine_.Tag(packet.src_mac, /*with_type=*/false).cookie,
+                    seen.trace_id);
     if (handles_.wan_allows_total != nullptr)
       handles_.wan_allows_total->Increment();
     sw.PacketOut(config_.wan_port, in_port, frame);
@@ -132,12 +129,10 @@ SentinelModule::Verdict SentinelModule::OnPacketIn(
 }
 
 void SentinelModule::FlushIdle(std::uint64_t now_ns) {
-  for (const auto& capture : monitor_.FlushIdle(now_ns)) {
-    HandleCompletedCapture(capture);
-  }
+  for (const auto& capture : monitor_.FlushIdle(now_ns)) Onboard(capture);
 }
 
-void SentinelModule::HandleCompletedCapture(const CompletedCapture& capture) {
+AssessmentResult SentinelModule::Onboard(const CompletedCapture& capture) {
   // Root span of the device's identification story: the identify, bank
   // scan, tie-break and enforce stages all nest under it on the trace id
   // the monitor assigned at first sight.
@@ -163,11 +158,13 @@ void SentinelModule::HandleCompletedCapture(const CompletedCapture& capture) {
   if (on_identification_) {
     on_identification_(IdentificationEvent{capture.device_mac, assessment});
   }
+  return assessment;
 }
 
 void SentinelModule::InstallFlowRule(sdn::SoftwareSwitch& sw,
                                      const net::ParsedPacket& packet,
-                                     bool allow_wan, obs::TraceId trace_id) {
+                                     bool allow_wan, std::uint64_t cookie,
+                                     obs::TraceId trace_id) {
   obs::StageScope stage(obs::Stage::kFlowInstall, nullptr, tracer_);
   stage.JoinTrace(trace_id);
   sdn::FlowRule rule;
@@ -184,8 +181,7 @@ void SentinelModule::InstallFlowRule(sdn::SoftwareSwitch& sw,
       rule.match.ip_dst = packet.dst_ip->v4();
     }
   }
-  const EnforcementRule* enforcement = engine_.Find(packet.src_mac);
-  rule.cookie = enforcement ? enforcement->Hash() : 0;
+  rule.cookie = cookie;
   if (recorder_ != nullptr) {
     recorder_->Record(
         packet.src_mac,

@@ -78,6 +78,13 @@ class SentinelModule : public sdn::ControllerModule {
   /// periodically (or after injecting a capture) with the current time.
   void FlushIdle(std::uint64_t now_ns);
 
+  /// The onboarding step, for every completed capture: assesses it with
+  /// the Security Service, journals the verdict and installs the device's
+  /// enforcement rule, under one identify_enforce span. OnPacketIn and
+  /// FlushIdle call it for live captures; a recorded trace replayed
+  /// through monitor() is onboarded by calling it per capture.
+  AssessmentResult Onboard(const CompletedCapture& capture);
+
   DeviceMonitor& monitor() { return monitor_; }
   [[nodiscard]] std::uint64_t drops_installed() const {
     return drops_installed_.Load();
@@ -117,13 +124,13 @@ class SentinelModule : public sdn::ControllerModule {
   }
 
  private:
-  void HandleCompletedCapture(const CompletedCapture& capture);
   /// Installs the flow rule for a policed frame: a drop rule, or with
   /// `allow_wan` a specific WAN allow rule for a permitted public flow.
-  /// `trace_id` is the source device's provenance trace.
+  /// `cookie` is the source device's rule tag (EnforcementEngine::Tag),
+  /// `trace_id` its provenance trace.
   void InstallFlowRule(sdn::SoftwareSwitch& sw,
                        const net::ParsedPacket& packet, bool allow_wan,
-                       obs::TraceId trace_id);
+                       std::uint64_t cookie, obs::TraceId trace_id);
 
   struct ModuleMetrics {
     obs::Histogram* identify_ns = nullptr;

@@ -47,98 +47,88 @@ const char* DeviceEventKindName(DeviceEventKind kind) {
 }
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
-    : config_(config) {
+    : config_(config),
+      journals_("obs.flight_recorder", 1, config.max_devices) {
   SENTINEL_CHECK(config_.events_per_device > 0)
       << "flight recorder needs a positive per-device capacity";
   SENTINEL_CHECK(config_.max_devices > 0)
       << "flight recorder needs a positive device capacity";
 }
 
-FlightRecorder::DeviceJournal& FlightRecorder::JournalFor(
-    const net::MacAddress& mac) {
-  auto it = journals_.find(mac);
-  if (it == journals_.end()) {
-    if (journals_.size() >= config_.max_devices) {
-      // Evict the journal that has been quiet longest.
-      auto victim = journals_.begin();
-      for (auto cur = journals_.begin(); cur != journals_.end(); ++cur) {
-        if (cur->second.last_update_sequence <
-            victim->second.last_update_sequence) {
-          victim = cur;
-        }
-      }
-      journals_.erase(victim);
-    }
-    it = journals_.try_emplace(mac).first;
-    it->second.first_seen_sequence = sequence_;
-  }
-  it->second.last_update_sequence = ++sequence_;
-  return it->second;
+template <typename Fn>
+void FlightRecorder::Update(const net::MacAddress& mac, Fn&& fn) {
+  journals_.Upsert(
+      mac.ToUint64(),
+      [this] {
+        return DeviceJournal{
+            .first_seen = next_ticket_.fetch_add(1, std::memory_order_relaxed)};
+      },
+      [&fn](DeviceJournal& journal, bool /*inserted*/) { fn(journal); });
 }
 
 void FlightRecorder::Record(const net::MacAddress& mac, DeviceEvent event) {
-  MutexLock lock(mutex_);
-  DeviceJournal& journal = JournalFor(mac);
-  if (journal.ring.size() < config_.events_per_device) {
-    journal.ring.push_back(std::move(event));
-  } else {
-    journal.ring[journal.next] = std::move(event);
-  }
-  journal.next = (journal.next + 1) % config_.events_per_device;
-  ++journal.total;
+  Update(mac, [&](DeviceJournal& journal) {
+    if (journal.ring.size() < config_.events_per_device) {
+      journal.ring.push_back(std::move(event));
+    } else {
+      journal.ring[journal.next] = std::move(event);
+    }
+    journal.next = (journal.next + 1) % config_.events_per_device;
+    ++journal.total;
+  });
 }
 
 void FlightRecorder::SetTraceId(const net::MacAddress& mac,
                                 TraceId trace_id) {
-  MutexLock lock(mutex_);
-  JournalFor(mac).trace_id = trace_id;
+  Update(mac, [trace_id](DeviceJournal& journal) {
+    journal.trace_id = trace_id;
+  });
 }
 
 TraceId FlightRecorder::trace_id(const net::MacAddress& mac) const {
-  MutexLock lock(mutex_);
-  const auto it = journals_.find(mac);
-  return it == journals_.end() ? 0 : it->second.trace_id;
+  return journals_.Read(mac.ToUint64(), [](const DeviceJournal* journal) {
+    return journal == nullptr ? TraceId{0} : journal->trace_id;
+  });
 }
 
 bool FlightRecorder::Known(const net::MacAddress& mac) const {
-  MutexLock lock(mutex_);
-  return journals_.contains(mac);
+  return journals_.Read(mac.ToUint64(), [](const DeviceJournal* journal) {
+    return journal != nullptr;
+  });
 }
 
 std::vector<net::MacAddress> FlightRecorder::Devices() const {
-  MutexLock lock(mutex_);
-  std::vector<std::pair<std::uint64_t, net::MacAddress>> ordered;
-  ordered.reserve(journals_.size());
-  for (const auto& [mac, journal] : journals_) {
-    ordered.emplace_back(journal.first_seen_sequence, mac);
-  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ordered;
+  journals_.ForEach(
+      [&ordered](std::uint64_t mac, const DeviceJournal& journal) {
+        ordered.emplace_back(journal.first_seen, mac);
+      });
   std::sort(ordered.begin(), ordered.end());
   std::vector<net::MacAddress> out;
   out.reserve(ordered.size());
-  for (const auto& [sequence, mac] : ordered) out.push_back(mac);
+  for (const auto& [ticket, mac] : ordered)
+    out.push_back(net::MacAddress::FromUint64(mac));
   return out;
 }
 
 std::vector<DeviceEvent> FlightRecorder::Events(
     const net::MacAddress& mac) const {
-  MutexLock lock(mutex_);
-  const auto it = journals_.find(mac);
-  if (it == journals_.end()) return {};
-  const DeviceJournal& journal = it->second;
-  std::vector<DeviceEvent> out;
-  out.reserve(journal.ring.size());
-  const std::size_t start =
-      journal.ring.size() < config_.events_per_device ? 0 : journal.next;
-  for (std::size_t i = 0; i < journal.ring.size(); ++i) {
-    out.push_back(journal.ring[(start + i) % journal.ring.size()]);
-  }
-  return out;
+  return journals_.Read(mac.ToUint64(), [this](const DeviceJournal* journal) {
+    std::vector<DeviceEvent> out;
+    if (journal == nullptr) return out;
+    out.reserve(journal->ring.size());
+    const std::size_t start =
+        journal->ring.size() < config_.events_per_device ? 0 : journal->next;
+    for (std::size_t i = 0; i < journal->ring.size(); ++i)
+      out.push_back(journal->ring[(start + i) % journal->ring.size()]);
+    return out;
+  });
 }
 
 std::uint64_t FlightRecorder::total_events(const net::MacAddress& mac) const {
-  MutexLock lock(mutex_);
-  const auto it = journals_.find(mac);
-  return it == journals_.end() ? 0 : it->second.total;
+  return journals_.Read(mac.ToUint64(), [](const DeviceJournal* journal) {
+    return journal == nullptr ? std::uint64_t{0} : journal->total;
+  });
 }
 
 std::string FlightRecorder::RenderJson(const net::MacAddress& mac) const {

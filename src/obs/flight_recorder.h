@@ -9,22 +9,22 @@
 //
 // Bounds: at most `events_per_device` journal entries per MAC (oldest
 // overwritten first) and `max_devices` journals (least-recently-updated
-// evicted first), so recorder memory is constant no matter how long the
-// gateway runs. Components hold a `FlightRecorder*` defaulting to
-// nullptr; detached call sites are a single branch, and recording never
-// feeds back into identification, so journalled runs stay bit-identical
-// to unjournalled ones.
+// evicted first: a one-shard util::MacTable capped at max_devices), so
+// recorder memory is constant no matter how long the gateway runs.
+// Components hold a `FlightRecorder*` defaulting to nullptr; detached call
+// sites are a single branch, and recording never feeds back into
+// identification, so journalled runs stay bit-identical to unjournalled
+// ones.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/address.h"
 #include "obs/trace.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/mac_table.h"
 
 namespace sentinel::obs {
 
@@ -93,21 +93,26 @@ class FlightRecorder {
  private:
   struct DeviceJournal {
     TraceId trace_id = 0;
-    std::uint64_t first_seen_sequence = 0;
-    std::uint64_t last_update_sequence = 0;
+    /// Ticket drawn when the journal was created: Devices() order.
+    std::uint64_t first_seen = 0;
     std::vector<DeviceEvent> ring;
     std::size_t next = 0;
     std::uint64_t total = 0;
   };
 
-  DeviceJournal& JournalFor(const net::MacAddress& mac)
-      SENTINEL_REQUIRES(mutex_);
+  /// Runs `fn(journal)` on `mac`'s journal, created on first use, and
+  /// marks it most recently updated.
+  template <typename Fn>
+  void Update(const net::MacAddress& mac, Fn&& fn);
 
   FlightRecorderConfig config_;
-  mutable Mutex mutex_{"obs.flight_recorder"};
-  std::unordered_map<net::MacAddress, DeviceJournal> journals_
-      SENTINEL_GUARDED_BY(mutex_);
-  std::uint64_t sequence_ SENTINEL_GUARDED_BY(mutex_) = 0;
+  /// Journal by MAC, recency = last update; one shard, so the cap is
+  /// max_devices and the victim the journal quiet longest.
+  util::MacTable<DeviceJournal> journals_;
+  // ordering: relaxed — tickets are drawn inside the table's one writer
+  // lock, which already orders them; the counter needs no ordering of its
+  // own.
+  std::atomic<std::uint64_t> next_ticket_{0};
 };
 
 }  // namespace sentinel::obs

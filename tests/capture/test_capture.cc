@@ -89,60 +89,6 @@ TEST(RingTrace, PartialFillAndPerMacSnapshot) {
   EXPECT_EQ(ring.SnapshotFor(b, 10).size(), 1u);
 }
 
-TEST(SetupPhase, IdleGapEndsPhase) {
-  SetupPhaseConfig config;
-  config.min_packets = 3;
-  config.idle_gap_ns = 1'000'000'000;
-  std::vector<net::ParsedPacket> packets;
-  for (int i = 0; i < 6; ++i)
-    packets.push_back(PacketAt(static_cast<std::uint64_t>(i) * 10'000'000));
-  // Big gap, then more traffic (standby chatter).
-  packets.push_back(PacketAt(10'000'000'000));
-  packets.push_back(PacketAt(10'100'000'000));
-  EXPECT_EQ(DetectSetupPhaseEnd(packets, config), 6u);
-}
-
-TEST(SetupPhase, ShortBurstReturnsAll) {
-  SetupPhaseConfig config;
-  config.min_packets = 8;
-  std::vector<net::ParsedPacket> packets;
-  for (int i = 0; i < 5; ++i)
-    packets.push_back(PacketAt(static_cast<std::uint64_t>(i) * 1'000'000));
-  EXPECT_EQ(DetectSetupPhaseEnd(packets, config), 5u);
-}
-
-TEST(SetupPhase, MaxPacketsCapsCollection) {
-  SetupPhaseConfig config;
-  config.max_packets = 10;
-  std::vector<net::ParsedPacket> packets;
-  for (int i = 0; i < 50; ++i)
-    packets.push_back(PacketAt(static_cast<std::uint64_t>(i) * 1'000'000));
-  EXPECT_EQ(DetectSetupPhaseEnd(packets, config), 10u);
-}
-
-TEST(SetupPhase, RateDropEndsPhase) {
-  SetupPhaseConfig config;
-  config.min_packets = 5;
-  config.idle_gap_ns = 60'000'000'000;  // effectively disable the gap rule
-  config.rate_window_packets = 5;
-  config.rate_drop_factor = 0.1;
-  std::vector<net::ParsedPacket> packets;
-  std::uint64_t t = 0;
-  // Dense setup burst: 1 ms spacing.
-  for (int i = 0; i < 15; ++i) {
-    packets.push_back(PacketAt(t));
-    t += 1'000'000;
-  }
-  // Standby trickle: 1 s spacing (1000x slower).
-  for (int i = 0; i < 10; ++i) {
-    packets.push_back(PacketAt(t));
-    t += 1'000'000'000;
-  }
-  const std::size_t end = DetectSetupPhaseEnd(packets, config);
-  EXPECT_GE(end, 15u);
-  EXPECT_LT(end, 25u);
-}
-
 TEST(SetupPhaseTracker, IncrementalMatchesBatch) {
   SetupPhaseConfig config;
   config.min_packets = 3;

@@ -2,6 +2,7 @@
 // policy, device monitor and the two-stage identifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/device_identifier.h"
@@ -291,6 +292,90 @@ TEST(DeviceMonitor, ForgetAllowsRefingerprinting) {
   EXPECT_FALSE(monitor.IsKnown(kDevA));
   monitor.Observe(p);
   EXPECT_TRUE(monitor.IsKnown(kDevA));
+}
+
+/// A UDP frame from `src` at `ts` whose payload length is `size`, so that
+/// frames of distinct sizes stay distinct rows of F.
+net::Frame FrameFrom(const net::MacAddress& src, std::uint64_t ts,
+                     std::size_t size) {
+  net::UdpDatagram udp;
+  udp.src_port = 50000;
+  udp.dst_port = 9999;
+  udp.payload.assign(size, 0x5a);
+  return net::BuildUdp4Frame(ts, src, kGwMac, net::Ipv4Address(10, 0, 0, 2),
+                             kGwIp, udp);
+}
+
+TEST(DeviceMonitor, ReplayEndsCaptureAtIdleGap) {
+  capture::SetupPhaseConfig config;
+  config.min_packets = 3;
+  config.idle_gap_ns = 1'000'000'000;
+  // Standby chatter after a 10 s silence, recorded ahead of the setup
+  // burst: Replay puts the trace in time order first.
+  capture::Trace trace;
+  trace.Append(FrameFrom(kDevA, 10'000'000'000, 90));
+  trace.Append(FrameFrom(kDevA, 10'100'000'000, 91));
+  for (std::size_t i = 0; i < 6; ++i)
+    trace.Append(FrameFrom(kDevA, i * 10'000'000, 10 + i));
+  const auto captures = DeviceMonitor(config).Replay(trace);
+  ASSERT_EQ(captures.size(), 1u);
+  EXPECT_EQ(captures[0].device_mac, kDevA);
+  EXPECT_EQ(captures[0].packet_count, 6u);
+}
+
+TEST(DeviceMonitor, ReplaySkipsSourcesBelowMinPackets) {
+  // Default rule: 8 packets before an idle gap may end the phase. A source
+  // with fewer never completes a capture, not even at the closing flush.
+  capture::Trace trace;
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (i < 5) trace.Append(FrameFrom(kDevA, i * 1'000'000, 10 + i));
+    trace.Append(FrameFrom(kDevB, i * 1'000'000 + 500'000, 10 + i));
+  }
+  DeviceMonitor monitor;
+  const auto captures = monitor.Replay(trace);
+  ASSERT_EQ(captures.size(), 1u);
+  EXPECT_EQ(captures[0].device_mac, kDevB);
+  EXPECT_EQ(captures[0].packet_count, 8u);
+  EXPECT_EQ(monitor.tracked_count(), 2u);
+}
+
+TEST(DeviceMonitor, ReplayCapsCaptureAtMaxPackets) {
+  capture::SetupPhaseConfig config;
+  config.max_packets = 10;
+  capture::Trace trace;
+  for (std::size_t i = 0; i < 50; ++i)
+    trace.Append(FrameFrom(kDevA, i * 1'000'000, 10 + i));
+  // A quiet device completes at the closing flush, after the capped one.
+  for (std::size_t i = 0; i < 8; ++i)
+    trace.Append(FrameFrom(kDevB, i * 1'000'000, 10 + i));
+  const auto captures = DeviceMonitor(config).Replay(trace);
+  ASSERT_EQ(captures.size(), 2u);
+  EXPECT_EQ(captures[0].device_mac, kDevA);
+  EXPECT_EQ(captures[0].packet_count, 10u);
+  EXPECT_EQ(captures[1].device_mac, kDevB);
+}
+
+TEST(DeviceMonitor, ReplayedSetupEpisodeCapturesTheTrainingFingerprint) {
+  // The classifiers train on ExtractFingerprint, all of a device's frames;
+  // every serving path fingerprints what the monitor captures. On a setup
+  // episode the two must agree, or training and serving would disagree
+  // on what a device's fingerprint is (a simulated pause of 5 s or more
+  // mid-setup would break this).
+  devices::DeviceSimulator simulator(4242);
+  for (std::size_t t = 0; t < devices::DeviceTypeCount(); ++t) {
+    for (int i = 0; i < 10; ++i) {
+      const auto episode =
+          simulator.RunSetupEpisode(static_cast<devices::DeviceTypeId>(t));
+      const auto captures = DeviceMonitor().Replay(episode.trace);
+      const auto it = std::find_if(
+          captures.begin(), captures.end(), [&](const CompletedCapture& c) {
+            return c.device_mac == episode.device_mac;
+          });
+      ASSERT_NE(it, captures.end()) << "type " << t << " episode " << i;
+      EXPECT_EQ(it->full, devices::DeviceSimulator::ExtractFingerprint(episode))
+          << "type " << t << " episode " << i;
+    }
+  }
 }
 
 class IdentifierTest : public ::testing::Test {

@@ -3,10 +3,12 @@
 // session table are all sharded and optionally LRU-capped. These tests pin
 // the cap arithmetic, the eviction counters, the monitor's preferred
 // victim, the seed-equivalence of shard count 1, and that concurrent
-// ingress through one gateway reaches the one-thread outcome.
+// ingress through one gateway reaches the one-thread outcome, and stays
+// bounded when a rule-cache cap evicts rules other threads are reading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -215,21 +217,31 @@ std::vector<net::Frame> DeviceSession(std::uint64_t device,
 struct GatewayOutcome {
   std::vector<IsolationLevel> levels;  // per device, in device order
   std::size_t rule_count = 0;
+  std::uint64_t rules_evicted = 0;
   std::uint64_t drops_installed = 0;
+  std::size_t incidents = 0;
   std::size_t flow_rules = 0;
 };
 
 /// Drives `threads` x `devices_per_thread` device sessions through one
 /// gateway at shard count 8; each thread owns its devices, so every
-/// device's frames arrive in order.
+/// device's frames arrive in order. `max_rules_per_shard` caps the
+/// enforcement-rule cache (0: unbounded).
 GatewayOutcome RunConcurrentIngress(std::size_t threads,
-                                    std::size_t devices_per_thread) {
+                                    std::size_t devices_per_thread,
+                                    std::size_t max_rules_per_shard = 0) {
   netsim::ScriptedAssessor assessor(5);
   SecurityGatewayConfig config;
   config.shard_count = 8;
+  config.max_enforcement_rules_per_shard = max_rules_per_shard;
   SecurityGateway gateway(assessor, config);
   gateway.AttachWan([](const net::Frame&) {});
   gateway.AttachPort(2, [](const net::Frame&) {});
+  // The incident path reads the source's device type on every drop.
+  std::atomic<std::size_t> incidents{0};
+  gateway.sentinel().OnIncident([&incidents](const IncidentEvent&) {
+    incidents.fetch_add(1, std::memory_order_relaxed);
+  });
 
   const std::size_t device_count = threads * devices_per_thread;
   std::vector<std::vector<net::Frame>> sessions;
@@ -249,7 +261,9 @@ GatewayOutcome RunConcurrentIngress(std::size_t threads,
   for (std::uint64_t d = 0; d < device_count; ++d)
     outcome.levels.push_back(gateway.enforcement().EffectiveLevel(Mac(d + 1)));
   outcome.rule_count = gateway.enforcement().rule_count();
+  outcome.rules_evicted = gateway.enforcement().evicted_total();
   outcome.drops_installed = gateway.sentinel().drops_installed();
+  outcome.incidents = incidents.load(std::memory_order_relaxed);
   outcome.flow_rules = gateway.datapath().flow_table().size();
   return outcome;
 }
@@ -260,6 +274,7 @@ TEST(FleetSharding, ConcurrentGatewayIngressMatchesOneThread) {
   EXPECT_EQ(four.levels, one.levels);
   EXPECT_EQ(four.rule_count, one.rule_count);
   EXPECT_EQ(four.drops_installed, one.drops_installed);
+  EXPECT_EQ(four.incidents, one.incidents);
   EXPECT_EQ(four.flow_rules, one.flow_rules);
   // The scenario exercises every policy path it compares.
   EXPECT_EQ(one.rule_count, 800u);
@@ -271,6 +286,16 @@ TEST(FleetSharding, ConcurrentGatewayIngressMatchesOneThread) {
     EXPECT_NE(std::count(one.levels.begin(), one.levels.end(), level), 0)
         << ToString(level);
   }
+
+  // A four-rule cap per shard: installs and cap evictions on each thread
+  // race the packet-in path's rule reads (flow-rule cookie, incident
+  // device type) on the others. Which rules survive depends on the
+  // interleaving, so only the bounds are compared.
+  const GatewayOutcome capped = RunConcurrentIngress(4, 200, 4);
+  EXPECT_LE(capped.rule_count, 8u * 4u);
+  EXPECT_EQ(capped.rule_count + capped.rules_evicted, 800u);
+  EXPECT_EQ(capped.incidents, capped.drops_installed);
+  EXPECT_GT(capped.drops_installed, 0u);
 }
 
 TEST(FleetSharding, ShardCountOneMatchesMultiShardDecisions) {

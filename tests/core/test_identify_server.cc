@@ -13,21 +13,29 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "core/device_monitor.h"
+#include "core/gateway.h"
 #include "core/identify_server.h"
+#include "core/security_service.h"
 #include "devices/simulator.h"
 #include "features/fingerprint_codec.h"
+#include "gateway_capture.h"
 #include "net/pcap.h"
 #include "obs/metrics.h"
+#include "util/json.h"
 
 namespace sentinel::core {
 namespace {
 
-/// One identifier trained on a 6-type bank, shared across tests (training
-/// dominates test runtime; the server never mutates it).
-const DeviceIdentifier& SharedIdentifier() {
-  static const DeviceIdentifier* identifier = [] {
+/// One Security Service around an identifier trained on a 6-type bank,
+/// shared across tests (training dominates test runtime; the server never
+/// mutates it).
+SecurityService& SharedService() {
+  static SecurityService* service = [] {
     const auto dataset = devices::GenerateFingerprintDataset(4, 2026);
     std::vector<LabelledFingerprint> examples;
     for (std::size_t i = 0; i < dataset.size(); ++i) {
@@ -35,11 +43,16 @@ const DeviceIdentifier& SharedIdentifier() {
       examples.push_back(LabelledFingerprint{
           &dataset.fingerprints[i], &dataset.fixed[i], dataset.labels[i]});
     }
-    auto* trained = new DeviceIdentifier();
-    trained->Train(examples);
-    return trained;
+    DeviceIdentifier trained;
+    trained.Train(examples);
+    return new SecurityService(std::move(trained),
+                               VulnerabilityDb::SeedFromCatalog());
   }();
-  return *identifier;
+  return *service;
+}
+
+const DeviceIdentifier& SharedIdentifier() {
+  return std::as_const(SharedService()).identifier();
 }
 
 const devices::FingerprintDataset& Probes() {
@@ -308,6 +321,151 @@ TEST(IdentifyServerHttp, IngestSplitsAPcapPerDevice) {
             std::string::npos);
   EXPECT_NE(response.body.find("\"status\":\"served\""), std::string::npos);
   server.Stop();
+}
+
+/// Several devices joining at once, where two keep talking after an idle
+/// gap has ended their setup phase, and one source sends too few frames to
+/// complete a setup capture.
+struct MixedJoins {
+  std::vector<net::Frame> frames;  // time-sorted
+  /// Device-facing port of every source but the gateway.
+  std::unordered_map<std::uint64_t, sdn::PortId> device_port;
+  /// Frames each joining device sent during its setup episode.
+  std::unordered_map<std::uint64_t, std::size_t> setup_frames;
+  net::MacAddress short_source = Mac(0x77);
+};
+
+MixedJoins MakeMixedJoins() {
+  MixedJoins joins;
+  devices::DeviceSimulator simulator(31);
+  const auto setup = simulator.RunConcurrentSetupEpisodes({0, 2, 4, 5});
+  joins.frames = setup.merged.frames();
+  for (std::size_t e = 0; e < setup.episodes.size(); ++e) {
+    const net::MacAddress mac = setup.episodes[e].device_mac;
+    joins.device_port.emplace(mac.ToUint64(), static_cast<sdn::PortId>(10 + e));
+    std::vector<net::Frame> own;
+    for (const net::Frame& frame : setup.merged.frames())
+      if (net::ParseFrame(frame).src_mac == mac) own.push_back(frame);
+    joins.setup_frames.emplace(mac.ToUint64(), own.size());
+    if (e % 2 != 0) continue;
+    // Devices 0 and 2 resend their first six frames 10 s after their last.
+    const std::uint64_t shift = own.back().timestamp_ns -
+                                own.front().timestamp_ns + 10'000'000'000;
+    for (std::size_t i = 0; i < 6; ++i) {
+      net::Frame later = own[i];
+      later.timestamp_ns += shift;
+      joins.frames.push_back(std::move(later));
+    }
+  }
+  // Five frames to the gateway's DNS: short of the 8-packet minimum.
+  joins.device_port.emplace(joins.short_source.ToUint64(), 20);
+  const std::uint64_t start = joins.frames.front().timestamp_ns;
+  for (std::size_t i = 0; i < 5; ++i) {
+    net::UdpDatagram udp;
+    udp.src_port = 40000;
+    udp.dst_port = 53;
+    udp.payload.assign(20 + i, 0x11);
+    joins.frames.push_back(net::BuildUdp4Frame(
+        start + i * 100'000'000, joins.short_source,
+        SecurityGatewayConfig{}.gateway_mac, net::Ipv4Address(192, 168, 1, 77),
+        net::Ipv4Address(192, 168, 1, 1), udp));
+  }
+  std::stable_sort(joins.frames.begin(), joins.frames.end(),
+                   [](const net::Frame& a, const net::Frame& b) {
+                     return a.timestamp_ns < b.timestamp_ns;
+                   });
+  return joins;
+}
+
+TEST(IdentifyServerHttp, IngestFingerprintsWhatTheGatewayCaptures) {
+  const MixedJoins joins = MakeMixedJoins();
+  const std::vector<net::Frame>& frames = joins.frames;
+
+  // What a live gateway captures from the same frames, per device.
+  test_support::CapturedProbes probes;
+  test_support::RecordingClient client(SharedService(), probes);
+  SecurityGateway gateway(client);
+  std::vector<net::MacAddress> onboarded;
+  gateway.sentinel().OnIdentification(
+      [&](const IdentificationEvent& event) {
+        onboarded.push_back(event.device_mac);
+      });
+  gateway.AttachWan([](const net::Frame&) {});
+  for (const auto& [mac, port] : joins.device_port)
+    gateway.AttachPort(port, [](const net::Frame&) {});
+  for (const net::Frame& frame : frames) {
+    const auto it =
+        joins.device_port.find(net::ParseFrame(frame).src_mac.ToUint64());
+    gateway.Ingress(
+        it == joins.device_port.end() ? gateway.config().wan_port : it->second,
+        frame);
+  }
+  gateway.sentinel().FlushIdle(frames.back().timestamp_ns + 60'000'000'000);
+  ASSERT_EQ(onboarded.size(), probes.full.size());
+  std::unordered_map<std::uint64_t, features::Fingerprint> by_gateway;
+  for (std::size_t i = 0; i < onboarded.size(); ++i)
+    by_gateway.emplace(onboarded[i].ToUint64(), probes.full[i]);
+
+  DeviceMonitor monitor;
+  const auto captures = monitor.Replay(capture::Trace(frames));
+
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 64, .batch_target = 4});
+  const auto pcap = net::EncodePcap(frames);
+  const auto response = server.Collect(server.Submit(
+      "/ingest", "application/vnd.tcpdump.pcap",
+      std::string(reinterpret_cast<const char*>(pcap.data()), pcap.size())));
+  ASSERT_EQ(response.status, 200) << response.body;
+  const auto document = util::ParseJson(response.body);
+  ASSERT_TRUE(document.has_value()) << response.body;
+
+  // /ingest lists exactly the monitor's captures, in completion order.
+  std::vector<std::string> listed;
+  for (const auto& device : document->Find("devices")->items)
+    listed.push_back(device.Find("mac")->string);
+  std::vector<std::string> captured;
+  for (const auto& capture : captures)
+    captured.push_back(capture.device_mac.ToString());
+  EXPECT_EQ(listed, captured);
+
+  const net::MacAddress gateway_mac = gateway.config().gateway_mac;
+  std::size_t gateway_captured = 0;
+  for (const auto& capture : captures) {
+    const std::string mac = capture.device_mac.ToString();
+    SCOPED_TRACE(mac);
+    // The served verdict is a per-call Identify of that capture.
+    EXPECT_NE(response.body.find(
+                  "\"mac\":\"" + mac + "\",\"status\":\"served\",\"verdict\":" +
+                  IdentifyServer::RenderVerdictJson(SharedIdentifier().Identify(
+                      capture.full, capture.fixed))),
+              std::string::npos);
+    // The gateway never fingerprints its own MAC; every other capture is
+    // the one the gateway took.
+    if (capture.device_mac == gateway_mac) continue;
+    ++gateway_captured;
+    const auto it = by_gateway.find(capture.device_mac.ToUint64());
+    ASSERT_NE(it, by_gateway.end());
+    EXPECT_EQ(it->second, capture.full);
+  }
+  EXPECT_EQ(gateway_captured, by_gateway.size());
+
+  // Each joining device's capture is its setup episode: the frames it
+  // resent past the idle gap stay out.
+  for (const auto& [mac, count] : joins.setup_frames) {
+    const auto it = std::find_if(
+        captures.begin(), captures.end(), [mac = mac](const auto& capture) {
+          return capture.device_mac.ToUint64() == mac;
+        });
+    ASSERT_NE(it, captures.end());
+    EXPECT_EQ(it->packet_count, count);
+  }
+  // The short source is tracked but skipped.
+  EXPECT_EQ(std::find(listed.begin(), listed.end(),
+                      joins.short_source.ToString()),
+            listed.end());
+  EXPECT_GE(document->Find("devices_skipped")->number, 1.0);
+  EXPECT_EQ(document->Find("devices_skipped")->number,
+            static_cast<double>(monitor.tracked_count() - captures.size()));
 }
 
 TEST(IdentifyServerHttp, MalformedBodiesAre400WithoutExceptions) {
