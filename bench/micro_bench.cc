@@ -8,12 +8,12 @@
 #include <memory>
 #include <random>
 
+#include "capture/trace.h"
 #include "core/device_identifier.h"
 #include "core/enforcement.h"
 #include "devices/simulator.h"
 #include "features/edit_distance.h"
 #include "ml/random_forest.h"
-#include "net/pcap.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -262,8 +262,8 @@ BENCHMARK(BM_EnforcementAuthorize)->RangeMultiplier(10)->Range(10, 20000);
 void BM_PcapEncodeDecode(benchmark::State& state) {
   const auto& frames = SampleEpisode().trace.frames();
   for (auto _ : state) {
-    const auto blob = net::EncodePcap(frames);
-    benchmark::DoNotOptimize(net::DecodePcap(blob));
+    const auto blob = capture::EncodePcap(frames);
+    benchmark::DoNotOptimize(capture::Trace::FromPcap(blob));
   }
 }
 BENCHMARK(BM_PcapEncodeDecode);

@@ -14,7 +14,6 @@
 #include "core/device_monitor.h"
 #include "core/security_service.h"
 #include "devices/simulator.h"
-#include "net/pcap.h"
 
 namespace {
 using namespace sentinel;
@@ -22,13 +21,19 @@ using namespace sentinel;
 int IdentifyFromPcap(const std::string& path,
                      core::SecurityService& service) {
   std::printf("reading %s...\n", path.c_str());
-  capture::Trace trace(net::ReadPcapFile(path));
-  std::printf("%zu frames\n", trace.size());
+  capture::TraceError error;
+  auto trace = capture::ReadPcapFile(path, &error);
+  if (!trace) {
+    std::fprintf(stderr, "%s: malformed pcap: %s\n", path.c_str(),
+                 error.ToString().c_str());
+    return 1;
+  }
+  std::printf("%zu frames\n", trace->size());
 
   // Cut each source's setup phase exactly as the gateway's device monitor
   // does, and identify every captured device.
   core::DeviceMonitor monitor;
-  for (const auto& capture : monitor.Replay(std::move(trace))) {
+  for (const auto& capture : monitor.Replay(std::move(*trace))) {
     const auto assessment = service.Assess(capture.full, capture.fixed);
     std::printf("  %s: %zu setup packets -> %s (isolation: %s)\n",
                 capture.device_mac.ToString().c_str(), capture.packet_count,
@@ -59,7 +64,7 @@ int main(int argc, char** argv) {
     std::printf("simulating a %s setup episode...\n", type_name.c_str());
     devices::DeviceSimulator simulator(/*seed=*/12345);
     const auto episode = simulator.RunSetupEpisode(type);
-    net::WritePcapFile(path, episode.trace.frames());
+    capture::WritePcapFile(path, episode.trace.frames());
     std::printf("wrote %zu frames to %s (classic pcap, Ethernet)\n",
                 episode.trace.size(), path.c_str());
   }

@@ -32,7 +32,6 @@
 #include "net/dhcp.h"
 #include "net/dns.h"
 #include "net/frame.h"
-#include "net/pcap.h"
 
 namespace {
 
@@ -89,8 +88,8 @@ std::vector<net::Frame> SetupPhaseFrames() {
 }
 
 void EmitPcapSeeds(const fs::path& dir) {
-  WriteSeed(dir, "empty_capture.pcap", net::EncodePcap({}));
-  const auto capture = net::EncodePcap(SetupPhaseFrames());
+  WriteSeed(dir, "empty_capture.pcap", capture::EncodePcap({}));
+  const auto capture = capture::EncodePcap(SetupPhaseFrames());
   WriteSeed(dir, "setup_phase.pcap", capture);
   WriteSeed(dir, "truncated_record.pcap",
             std::span<const std::uint8_t>(capture).first(30));
@@ -209,7 +208,7 @@ void EmitIdentifyRequestSeeds(const fs::path& dir) {
   WriteSeed(dir, "binary_probe.bin", binary);
 
   std::vector<std::uint8_t> ingest = {2};
-  const auto capture = net::EncodePcap(SetupPhaseFrames());
+  const auto capture = capture::EncodePcap(SetupPhaseFrames());
   ingest.insert(ingest.end(), capture.begin(), capture.end());
   WriteSeed(dir, "setup_phase_pcap.bin", ingest);
 }

@@ -13,6 +13,8 @@
 //   - Submit never throws, whatever the body.
 //   - Collect answers 200, 400, 404, 415 or 429 — nothing else — and a 200
 //     carries a JSON object.
+//   - Collect leaves no probe behind: the queue is empty afterwards, and
+//     every probe ever admitted was served or shed.
 // The server is never started, so each Collect serves its own probes on
 // the calling thread and every input is identified before the next.
 #include <cstddef>
@@ -92,5 +94,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                        0)
         << "a 200 without a JSON object body: " << response.body;
   }
+  SENTINEL_CHECK(server.queue_depth() == 0)
+      << server.queue_depth() << " probes left queued after a Collect";
+  const core::ServeStats stats = server.stats();
+  SENTINEL_CHECK(stats.admitted == stats.probes_served + stats.shed)
+      << "admitted " << stats.admitted << " != served " << stats.probes_served
+      << " + shed " << stats.shed;
   return 0;
 }

@@ -14,7 +14,6 @@
 #include <span>
 
 #include "capture/trace.h"
-#include "net/pcap.h"
 #include "util/check.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -29,7 +28,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     return 0;
   }
   // Round trip: re-encode and re-parse; the frame count must be stable.
-  const auto encoded = sentinel::net::EncodePcap(trace->frames());
+  const auto encoded = sentinel::capture::EncodePcap(trace->frames());
   const auto again = sentinel::capture::Trace::FromPcap(encoded);
   SENTINEL_CHECK(again.has_value()) << "re-encoded capture failed to parse";
   SENTINEL_CHECK(again->size() == trace->size())

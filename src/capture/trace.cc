@@ -33,20 +33,46 @@ std::string TraceError::ToString() const {
 
 namespace {
 
-// Classic pcap framing (mirrors net/pcap.cc, which owns the throwing
-// codec; this reader classifies failures instead of throwing).
-constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;
+// Classic pcap framing.
+constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;  // microsecond timestamps
 constexpr std::uint32_t kPcapMagicSwapped = 0xd4c3b2a1;
 constexpr std::uint32_t kLinkTypeEthernet = 1;
 constexpr std::uint32_t kSnapLen = 65535;
 constexpr std::size_t kGlobalHeaderBytes = 24;
 constexpr std::size_t kRecordHeaderBytes = 16;
 
+struct FileCloser {
+  void operator()(std::FILE* f) const {
+    if (f != nullptr) std::fclose(f);
+  }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
 std::optional<Trace> Fail(TraceError* error, TraceErrorKind kind,
                           std::size_t record_index, std::string detail) {
   if (error != nullptr)
     *error = TraceError{kind, record_index, std::move(detail)};
   return std::nullopt;
+}
+
+/// The global header, little-endian as is conventional on x86 writers.
+void WriteGlobalHeader(net::ByteWriter& w) {
+  w.WriteU32Le(kPcapMagic);
+  w.WriteU16Le(2);  // version major
+  w.WriteU16Le(4);  // version minor
+  w.WriteU32Le(0);  // thiszone
+  w.WriteU32Le(0);  // sigfigs
+  w.WriteU32Le(kSnapLen);
+  w.WriteU32Le(kLinkTypeEthernet);
+}
+
+void WriteRecord(net::ByteWriter& w, const net::Frame& frame) {
+  const std::uint64_t usec = frame.timestamp_ns / 1000;
+  w.WriteU32Le(static_cast<std::uint32_t>(usec / 1000000));
+  w.WriteU32Le(static_cast<std::uint32_t>(usec % 1000000));
+  w.WriteU32Le(static_cast<std::uint32_t>(frame.bytes.size()));  // incl_len
+  w.WriteU32Le(static_cast<std::uint32_t>(frame.bytes.size()));  // orig_len
+  w.WriteBytes(frame.bytes);
 }
 
 }  // namespace
@@ -111,14 +137,24 @@ std::optional<Trace> Trace::FromPcap(std::span<const std::uint8_t> data,
   return Trace(std::move(frames));
 }
 
-std::optional<Trace> Trace::FromPcapFile(const std::string& path,
-                                         TraceError* error) {
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) std::fclose(f);
-    }
-  };
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "rb"));
+std::vector<std::uint8_t> EncodePcap(const std::vector<net::Frame>& frames) {
+  net::ByteWriter w(kGlobalHeaderBytes + frames.size() * 96);
+  WriteGlobalHeader(w);
+  for (const net::Frame& frame : frames) WriteRecord(w, frame);
+  return std::move(w).Take();
+}
+
+void WritePcapFile(const std::string& path,
+                   const std::vector<net::Frame>& frames) {
+  const auto data = EncodePcap(frames);
+  FilePtr f(std::fopen(path.c_str(), "wb"));
+  if (!f) throw std::runtime_error("cannot open " + path + " for writing");
+  if (std::fwrite(data.data(), 1, data.size(), f.get()) != data.size())
+    throw std::runtime_error("short write to " + path);
+}
+
+std::optional<Trace> ReadPcapFile(const std::string& path, TraceError* error) {
+  FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) throw std::runtime_error("cannot open " + path + " for reading");
   std::vector<std::uint8_t> data;
   std::uint8_t buf[65536];
@@ -127,7 +163,35 @@ std::optional<Trace> Trace::FromPcapFile(const std::string& path,
     data.insert(data.end(), buf, buf + n);
   if (std::ferror(f.get()) != 0)
     throw std::runtime_error("read error on " + path);
-  return FromPcap(data, error);
+  return Trace::FromPcap(data, error);
+}
+
+PcapFileSink::PcapFileSink(const std::string& path)
+    : file_(std::fopen(path.c_str(), "wb")) {
+  if (file_ == nullptr)
+    throw std::runtime_error("cannot open " + path + " for writing");
+  net::ByteWriter w(kGlobalHeaderBytes);
+  WriteGlobalHeader(w);
+  const auto header = w.bytes();
+  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
+    std::fclose(file_);
+    file_ = nullptr;
+    throw std::runtime_error("short write of pcap header to " + path);
+  }
+}
+
+PcapFileSink::~PcapFileSink() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+void PcapFileSink::Append(const net::Frame& frame) {
+  net::ByteWriter w(kRecordHeaderBytes + frame.bytes.size());
+  WriteRecord(w, frame);
+  const auto record = w.bytes();
+  if (std::fwrite(record.data(), 1, record.size(), file_) != record.size())
+    throw std::runtime_error("short write of pcap record");
+  std::fflush(file_);
+  ++frames_written_;
 }
 
 void Trace::SortByTime() {

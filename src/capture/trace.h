@@ -1,12 +1,16 @@
-// Capture traces and per-device traffic splitting.
+// Capture traces, their classic pcap file form, and per-device traffic
+// splitting.
 //
 // A Trace is an ordered sequence of captured frames as seen on the gateway's
-// monitored interfaces. The gateway fingerprints *per device*, so the
-// splitter groups frames by source MAC while preserving arrival order.
+// monitored interfaces. On disk and on the wire (POST /ingest) a trace is a
+// classic libpcap capture (LINKTYPE_ETHERNET, microsecond timestamps), the
+// format tcpdump and Wireshark exchange; this file holds its one encoder and
+// its one decoder. The gateway fingerprints *per device*, so the splitter
+// groups frames by source MAC while preserving arrival order.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <span>
@@ -22,7 +26,7 @@ namespace sentinel::capture {
 /// to the specific failure instead of matching exception strings.
 enum class TraceErrorKind {
   kTruncatedHeader,      ///< global pcap header shorter than 24 bytes
-  kBadMagic,             ///< magic is neither 0xa1b2c3d4 nor its swap
+  kBadMagic,             ///< not the classic pcap magic in either byte order
   kUnsupportedLinkType,  ///< link type other than LINKTYPE_ETHERNET
   kTruncatedRecord,      ///< record header or payload cut short
   kOversizedRecord,      ///< incl_len above the 65535 snap length
@@ -68,30 +72,60 @@ class Trace {
   /// Returns packets in trace order.
   [[nodiscard]] std::vector<net::ParsedPacket> Parse() const;
 
-  /// Parses a classic pcap byte image into a Trace. All-or-nothing: on
-  /// malformed input `error` is filled and nullopt is returned — never a
-  /// partially-filled Trace (truncated hostile captures must not
-  /// masquerade as short legitimate ones). `error` may be nullptr when the
-  /// caller only needs the success/failure bit.
+  /// Parses a classic pcap byte image (either byte order) into a Trace.
+  /// All-or-nothing: on malformed input `error` is filled and nullopt is
+  /// returned — never a partially-filled Trace (truncated hostile captures
+  /// must not masquerade as short legitimate ones). `error` may be nullptr
+  /// when the caller only needs the success/failure bit. Never throws.
   [[nodiscard]] static std::optional<Trace> FromPcap(
       std::span<const std::uint8_t> data, TraceError* error = nullptr);
-
-  /// Reads and parses a pcap capture file. I/O failures (missing file,
-  /// unreadable) throw std::runtime_error; malformed content reports a
-  /// typed TraceError like FromPcap.
-  [[nodiscard]] static std::optional<Trace> FromPcapFile(
-      const std::string& path, TraceError* error = nullptr);
 
  private:
   std::vector<net::Frame> frames_;
 };
 
+/// Encodes `frames` as a classic pcap image (little-endian headers).
+std::vector<std::uint8_t> EncodePcap(const std::vector<net::Frame>& frames);
+
+/// Writes `frames` as a classic pcap file. Throws std::runtime_error on I/O
+/// failure.
+void WritePcapFile(const std::string& path,
+                   const std::vector<net::Frame>& frames);
+
+/// Reads a pcap file written here, by tcpdump or by Wireshark, and parses
+/// it like Trace::FromPcap. I/O failures (missing file, unreadable) throw
+/// std::runtime_error; malformed content reports a typed TraceError.
+[[nodiscard]] std::optional<Trace> ReadPcapFile(const std::string& path,
+                                                TraceError* error = nullptr);
+
+/// Streaming pcap writer: opens the file and writes the global header on
+/// construction, appends one record per Append() and flushes each record —
+/// the long-running capture path of a gateway that logs everything it
+/// monitors (a crash loses at most the frame being written).
+class PcapFileSink {
+ public:
+  /// Throws std::runtime_error when the file cannot be opened.
+  explicit PcapFileSink(const std::string& path);
+  ~PcapFileSink();
+
+  PcapFileSink(const PcapFileSink&) = delete;
+  PcapFileSink& operator=(const PcapFileSink&) = delete;
+
+  /// Appends one frame. Throws std::runtime_error on I/O failure.
+  void Append(const net::Frame& frame);
+
+  [[nodiscard]] std::uint64_t frames_written() const {
+    return frames_written_;
+  }
+
+ private:
+  std::FILE* file_ = nullptr;
+  std::uint64_t frames_written_ = 0;
+};
+
 /// Splits a parsed capture by source MAC, preserving per-device order.
 std::map<net::MacAddress, std::vector<net::ParsedPacket>> SplitBySourceMac(
     const std::vector<net::ParsedPacket>& packets);
-
-/// Callback-based sink used by live components (switch ports, monitors).
-using PacketSink = std::function<void(const net::Frame&)>;
 
 /// Bounded capture buffer: keeps the most recent `capacity` frames,
 /// overwriting the oldest. Gateways run with finite memory; the ring is

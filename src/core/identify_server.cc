@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "capture/trace.h"
@@ -53,9 +53,12 @@ bool ToFeature(const util::JsonValue& value, std::uint32_t& out) {
 
 IdentifyServer::IdentifyServer(const DeviceIdentifier* identifier,
                                IdentifyServerConfig config)
-    : identifier_(identifier),
-      config_(config),
-      queue_(config_.queue_depth) {}
+    : identifier_(identifier), config_(config) {
+  if (config_.queue_depth == 0)
+    throw std::invalid_argument("IdentifyServer: queue_depth must be >= 1");
+  if (config_.batch_target == 0)
+    throw std::invalid_argument("IdentifyServer: batch_target must be >= 1");
+}
 
 IdentifyServer::~IdentifyServer() { Stop(); }
 
@@ -73,21 +76,16 @@ void IdentifyServer::Stop() {
     work_cv_.NotifyAll();
   }
   if (drain_.joinable()) drain_.join();
-  {
-    sentinel::MutexLock lock(mu_);
-    // Resolve every still-queued probe as shed so no waiter blocks on a
-    // queue nobody serves any more.
-    auto leftovers =
-        queue_.PopBatch(std::numeric_limits<std::size_t>::max());
-    for (auto& probe : leftovers) {
-      auto it = slots_.find(probe.ticket);
-      if (it == slots_.end()) continue;
-      it->second.done = true;
-      it->second.shed = true;
-    }
-    if (metrics_.queue_depth) metrics_.queue_depth->Set(0.0);
-    done_cv_.NotifyAll();
+  sentinel::MutexLock lock(mu_);
+  // Resolve every still-queued probe as shed so no collector blocks on a
+  // queue nobody serves any more.
+  for (const Queued& queued : queue_) {
+    queued.probe->state = Probe::State::kShed;
+    --queued.request->unresolved;
   }
+  queue_.clear();
+  if (metrics_.queue_depth) metrics_.queue_depth->Set(0.0);
+  done_cv_.NotifyAll();
 }
 
 void IdentifyServer::set_metrics(obs::MetricsRegistry* registry) {
@@ -128,76 +126,44 @@ std::uint64_t IdentifyServer::RetryAfterMsLocked() const {
   const double per_probe_ns =
       ewma_service_ns_ > 0.0 ? ewma_service_ns_ : kFallbackServiceNs;
   const double backlog_ms =
-      static_cast<double>(queue_.depth()) * per_probe_ns / 1e6;
+      static_cast<double>(queue_.size()) * per_probe_ns / 1e6;
   return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(backlog_ms));
 }
 
-IdentifyServer::Submission IdentifyServer::SubmitProbe(
-    const net::MacAddress& mac, features::Fingerprint full,
-    features::FixedFingerprint fixed) {
-  const std::uint64_t now = obs::NowNs();
-  sentinel::MutexLock lock(mu_);
-  if (stopping_) return {.admitted = false, .retry_after_ms = 0};
-  const std::uint64_t ticket = ++next_ticket_;
-  auto admission = queue_.Push(QueuedProbe{.mac = mac,
-                                           .full = std::move(full),
-                                           .fixed = std::move(fixed),
-                                           .enqueue_ns = now,
-                                           .ticket = ticket});
-  if (admission.action == AdmissionQueue::AdmitAction::kRejected) {
-    ++stats_.rejected;
-    if (metrics_.rejected) metrics_.rejected->Increment();
-    return {.admitted = false, .retry_after_ms = RetryAfterMsLocked()};
+void IdentifyServer::AdmitLocked(Request& request, Probe& probe,
+                                 std::uint64_t now_ns) {
+  if (stopping_) {
+    probe.state = Probe::State::kRejected;
+    return;
   }
-  if (admission.action == AdmissionQueue::AdmitAction::kAdmittedAfterShed) {
+  if (queue_.size() >= config_.queue_depth) {
+    // Full: shed the OLDEST queued probe of the same device, if any — the
+    // newer observation supersedes it (same MAC, fresher traffic).
+    const auto victim = std::find_if(
+        queue_.begin(), queue_.end(), [&probe](const Queued& queued) {
+          return queued.probe->mac == probe.mac;
+        });
+    if (victim == queue_.end()) {
+      probe.state = Probe::State::kRejected;
+      probe.retry_after_ms = RetryAfterMsLocked();
+      ++stats_.rejected;
+      if (metrics_.rejected) metrics_.rejected->Increment();
+      return;
+    }
+    victim->probe->state = Probe::State::kShed;
+    --victim->request->unresolved;
+    queue_.erase(victim);
     ++stats_.shed;
     if (metrics_.shed) metrics_.shed->Increment();
-    auto victim = slots_.find(admission.shed_ticket);
-    if (victim != slots_.end()) {
-      victim->second.done = true;
-      victim->second.shed = true;
-    }
     done_cv_.NotifyAll();
   }
+  probe.enqueue_ns = now_ns;
+  queue_.push_back({&request, &probe});
+  ++request.unresolved;
   ++stats_.admitted;
   if (metrics_.admitted) metrics_.admitted->Increment();
   if (metrics_.queue_depth)
-    metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
-  slots_.emplace(ticket, Slot{});
-  // A lone probe is served by its own waiter, which arrives within
-  // microseconds; waking the drain for it would cost a futex wake (10-16 us
-  // per admission on a 4-vCPU VM) and then race that waiter. The drain is
-  // woken once a second probe queues up.
-  const bool wake_drain = queue_.depth() > 1;
-  lock.Unlock();
-  if (wake_drain) work_cv_.NotifyOne();
-  return {.admitted = true, .ticket = ticket};
-}
-
-IdentifyServer::ProbeOutcome IdentifyServer::WaitProbe(std::uint64_t ticket) {
-  sentinel::MutexLock lock(mu_);
-  for (;;) {
-    // Re-found every round: other threads insert slots (and may rehash)
-    // while a batch is served with mu_ released.
-    const auto it = slots_.find(ticket);
-    if (it == slots_.end()) return {};  // unknown ticket: report as shed
-    if (it->second.done) {
-      ProbeOutcome outcome{
-          .status = it->second.shed ? ProbeStatus::kShed : ProbeStatus::kServed,
-          .result = std::move(it->second.result),
-          .batch_size = it->second.batch_size,
-          .queue_wait_ns = it->second.queue_wait_ns};
-      slots_.erase(it);
-      return outcome;
-    }
-    // Work-conserving: a waiter whose probe is still pending serves the
-    // queue instead of idling (its own probe is queued or in service).
-    if (!stopping_ && !queue_.empty()) {
-      ServeNextBatchLocked();
-    } else {
-      done_cv_.Wait(mu_);
-    }
-  }
+    metrics_.queue_depth->Set(static_cast<double>(queue_.size()));
 }
 
 void IdentifyServer::DrainLoop() {
@@ -210,16 +176,19 @@ void IdentifyServer::DrainLoop() {
 }
 
 void IdentifyServer::ServeNextBatchLocked() {
-  std::vector<QueuedProbe> batch =
-      queue_.PopBatch(std::max<std::size_t>(1, config_.batch_target));
+  const auto batch_end = queue_.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(config_.batch_target, queue_.size()));
+  const std::vector<Queued> batch(queue_.begin(), batch_end);
+  queue_.erase(queue_.begin(), batch_end);
   if (metrics_.queue_depth)
-    metrics_.queue_depth->Set(static_cast<double>(queue_.depth()));
+    metrics_.queue_depth->Set(static_cast<double>(queue_.size()));
   mu_.Unlock();
   const std::uint64_t serve_start = obs::NowNs();
   std::vector<DeviceIdentifier::FingerprintRef> refs;
   refs.reserve(batch.size());
-  for (const auto& probe : batch)
-    refs.push_back({.full = &probe.full, .fixed = &probe.fixed});
+  for (const Queued& queued : batch)
+    refs.push_back(
+        {.full = &queued.probe->full, .fixed = &queued.probe->fixed});
   std::vector<IdentificationResult> results = identifier_->IdentifyBatch(refs);
   const std::uint64_t serve_end = obs::NowNs();
   mu_.Lock();
@@ -232,7 +201,7 @@ void IdentifyServer::ServeNextBatchLocked() {
   ++stats_.batches;
   stats_.probes_served += batch.size();
   ++stats_.batch_size_counts[batch.size()];
-  if (batch.size() >= config_.batch_target) {
+  if (batch.size() == config_.batch_target) {
     ++stats_.flush_size;
   } else {
     ++stats_.flush_sparse;
@@ -242,17 +211,15 @@ void IdentifyServer::ServeNextBatchLocked() {
   if (metrics_.batch_size)
     metrics_.batch_size->Observe(static_cast<double>(batch.size()));
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    auto it = slots_.find(batch[i].ticket);
-    if (it == slots_.end()) continue;  // waiter gave up (server stopping)
-    it->second.done = true;
-    it->second.result = std::move(results[i]);
-    it->second.batch_size = batch.size();
-    it->second.queue_wait_ns = serve_start >= batch[i].enqueue_ns
-                                   ? serve_start - batch[i].enqueue_ns
-                                   : 0;
+    Probe& probe = *batch[i].probe;
+    probe.state = Probe::State::kServed;
+    probe.result = std::move(results[i]);
+    probe.batch_size = batch.size();
+    probe.queue_wait_ns =
+        serve_start >= probe.enqueue_ns ? serve_start - probe.enqueue_ns : 0;
     if (metrics_.queue_wait_ns)
-      metrics_.queue_wait_ns->Observe(
-          static_cast<double>(it->second.queue_wait_ns));
+      metrics_.queue_wait_ns->Observe(static_cast<double>(probe.queue_wait_ns));
+    --batch[i].request->unresolved;
   }
   done_cv_.NotifyAll();
 }
@@ -262,96 +229,86 @@ void IdentifyServer::ServeNextBatchLocked() {
 std::uint64_t IdentifyServer::Submit(const std::string& path,
                                      const std::string& content_type,
                                      std::string body) {
-  PendingHttp pending;
+  Request request;
   // Submit never throws: a hostile body whose parse escapes the typed
   // error paths still becomes a 400 collected later, never an exception
   // unwinding into the connection-handler thread.
   try {
     if (path == "/identify") {
-      pending = BuildIdentify(content_type, body);
+      request = BuildIdentify(content_type, body);
     } else if (path == "/ingest") {
-      pending = BuildIngest(content_type, body);
+      request = BuildIngest(content_type, body);
     } else {
-      {
-        sentinel::MutexLock lock(mu_);
-        ++stats_.unknown_routes;
-      }
-      if (metrics_.unknown_routes) metrics_.unknown_routes->Increment();
-      pending = ImmediateResponse(404, "no such POST route");
+      request = Ready(404, "no such POST route");
     }
   } catch (const std::exception& error) {
-    pending =
-        ImmediateError(400, std::string("malformed body: ") + error.what());
+    request = Ready(400, std::string("malformed body: ") + error.what());
   } catch (...) {
-    pending = ImmediateError(400, "malformed body");
+    request = Ready(400, "malformed body");
   }
+  const std::uint64_t now = obs::NowNs();
   sentinel::MutexLock lock(mu_);
+  if (request.kind == Request::Kind::kReady) {
+    // A ready response answers an unknown route (404) or a malformed body.
+    const bool unknown_route = request.response.status == 404;
+    ++(unknown_route ? stats_.unknown_routes : stats_.parse_errors);
+    obs::Counter* counter =
+        unknown_route ? metrics_.unknown_routes : metrics_.parse_errors;
+    if (counter != nullptr) counter->Increment();
+  }
   const std::uint64_t id = ++next_request_;
-  pending_.emplace(id, std::move(pending));
+  Request& registered = requests_.emplace(id, std::move(request)).first->second;
+  for (Probe& probe : registered.probes) AdmitLocked(registered, probe, now);
+  // A lone probe is served by its own collector, which arrives within
+  // microseconds; waking the drain for it would cost a futex wake (10-16 us
+  // per admission on a 4-vCPU VM) and then race that collector. The drain
+  // is woken once a second probe queues up.
+  const bool wake_drain = registered.unresolved > 0 && queue_.size() > 1;
+  lock.Unlock();
+  if (wake_drain) work_cv_.NotifyOne();
   return id;
 }
 
 obs::PostResponse IdentifyServer::Collect(std::uint64_t request_id) {
-  PendingHttp pending;
-  {
-    sentinel::MutexLock lock(mu_);
-    auto it = pending_.find(request_id);
-    if (it == pending_.end())
-      return {.status = 500, .body = "{\"error\":\"unknown request id\"}\n"};
-    pending = std::move(it->second);
-    pending_.erase(it);
+  sentinel::MutexLock lock(mu_);
+  const auto it = requests_.find(request_id);
+  if (it == requests_.end())
+    return {.status = 500, .body = "{\"error\":\"unknown request id\"}\n"};
+  // A reference, not the iterator: other threads insert requests (and may
+  // rehash) while a batch is served with mu_ released.
+  const Request& request = it->second;
+  while (request.unresolved > 0) {
+    // Work-conserving: a collector whose probes are still pending serves
+    // the queue instead of idling (its own probes are queued or in
+    // service).
+    if (!stopping_ && !queue_.empty()) {
+      ServeNextBatchLocked();
+    } else {
+      done_cv_.Wait(mu_);
+    }
   }
-  switch (pending.kind) {
-    case PendingHttp::Kind::kImmediate:
-      return std::move(pending.response);
-    case PendingHttp::Kind::kIdentify:
-      return RenderIdentify(pending);
-    case PendingHttp::Kind::kIngest:
-      return RenderIngest(pending);
-  }
-  return {.status = 500, .body = "{\"error\":\"unreachable\"}\n"};
+  auto node = requests_.extract(request_id);
+  lock.Unlock();
+  return Render(node.mapped());
 }
 
-IdentifyServer::PendingHttp IdentifyServer::ImmediateResponse(
-    int status, const std::string& message) {
-  PendingHttp pending;
-  pending.kind = PendingHttp::Kind::kImmediate;
-  pending.response.status = status;
-  pending.response.body = "{\"error\":";
-  obs::AppendJsonEscaped(pending.response.body, message);
-  pending.response.body += "}\n";
-  return pending;
+IdentifyServer::Request IdentifyServer::Ready(int status,
+                                              const std::string& message) {
+  Request request;
+  request.response.status = status;
+  request.response.body = "{\"error\":";
+  obs::AppendJsonEscaped(request.response.body, message);
+  request.response.body += "}\n";
+  return request;
 }
 
-IdentifyServer::PendingHttp IdentifyServer::ImmediateError(
-    int status, const std::string& message) {
-  {
-    sentinel::MutexLock lock(mu_);
-    ++stats_.parse_errors;
-  }
-  if (metrics_.parse_errors) metrics_.parse_errors->Increment();
-  return ImmediateResponse(status, message);
-}
-
-void IdentifyServer::AdmitHttpProbe(const net::MacAddress& mac,
-                                    features::Fingerprint full,
-                                    PendingHttp& pending) {
-  auto fixed = features::FixedFingerprint::FromFingerprint(full);
-  auto submission = SubmitProbe(mac, std::move(full), std::move(fixed));
-  pending.probes.push_back(HttpProbe{.mac = mac.ToString(),
-                                     .admitted = submission.admitted,
-                                     .ticket = submission.ticket,
-                                     .retry_after_ms =
-                                         submission.retry_after_ms});
-}
-
-IdentifyServer::PendingHttp IdentifyServer::BuildIdentify(
+IdentifyServer::Request IdentifyServer::BuildIdentify(
     const std::string& content_type, const std::string& body) {
   net::MacAddress mac;
   features::Fingerprint full;
   if (content_type == "application/octet-stream") {
     if (body.size() <= kMacBytes)
-      return ImmediateError(400, "binary probe shorter than MAC + header");
+      return Ready(400, "binary probe shorter than MAC + header");
     std::array<std::uint8_t, kMacBytes> octets{};
     for (std::size_t i = 0; i < kMacBytes; ++i)
       octets[i] = static_cast<std::uint8_t>(body[i]);
@@ -364,71 +321,71 @@ IdentifyServer::PendingHttp IdentifyServer::BuildIdentify(
     } catch (const std::exception& error) {
       // Wider than CodecError on purpose: whatever a hostile byte string
       // provokes, Submit's never-throws contract turns it into a 400.
-      return ImmediateError(400, std::string("bad fingerprint bytes: ") +
-                                     error.what());
+      return Ready(400, std::string("bad fingerprint bytes: ") + error.what());
     }
   } else if (content_type == "application/json") {
     const auto document = util::ParseJson(body);
     if (!document || !document->IsObject())
-      return ImmediateError(400, "body is not a JSON object");
+      return Ready(400, "body is not a JSON object");
     const auto* mac_value = document->Find("mac");
     if (mac_value == nullptr || !mac_value->IsString())
-      return ImmediateError(400, "missing string field \"mac\"");
+      return Ready(400, "missing string field \"mac\"");
     const auto parsed_mac = net::MacAddress::Parse(mac_value->string);
-    if (!parsed_mac) return ImmediateError(400, "malformed MAC address");
+    if (!parsed_mac) return Ready(400, "malformed MAC address");
     mac = *parsed_mac;
     const auto* packets = document->Find("packets");
     if (packets == nullptr || !packets->IsArray())
-      return ImmediateError(400, "missing array field \"packets\"");
+      return Ready(400, "missing array field \"packets\"");
     std::vector<features::PacketFeatureVector> vectors;
     vectors.reserve(packets->items.size());
     for (const auto& packet : packets->items) {
       if (!packet.IsArray() ||
           packet.items.size() != features::kFeatureCount)
-        return ImmediateError(
-            400, "each packet must be an array of 23 feature values");
+        return Ready(400, "each packet must be an array of 23 feature values");
       features::PacketFeatureVector vector{};
       for (std::size_t i = 0; i < features::kFeatureCount; ++i)
         if (!ToFeature(packet.items[i], vector[i]))
-          return ImmediateError(
-              400, "feature values must be integers in [0, 2^32)");
+          return Ready(400, "feature values must be integers in [0, 2^32)");
       vectors.push_back(vector);
     }
     full = features::Fingerprint::FromPacketVectors(vectors);
   } else {
-    return ImmediateError(415, "unsupported media type for /identify");
+    return Ready(415, "unsupported media type for /identify");
   }
-  if (full.empty()) return ImmediateError(400, "empty fingerprint");
+  if (full.empty()) return Ready(400, "empty fingerprint");
 
-  PendingHttp pending;
-  pending.kind = PendingHttp::Kind::kIdentify;
-  AdmitHttpProbe(mac, std::move(full), pending);
-  return pending;
+  Request request;
+  request.kind = Request::Kind::kIdentify;
+  auto fixed = features::FixedFingerprint::FromFingerprint(full);
+  request.probes.push_back(
+      Probe{.mac = mac, .full = std::move(full), .fixed = std::move(fixed)});
+  return request;
 }
 
-IdentifyServer::PendingHttp IdentifyServer::BuildIngest(
+IdentifyServer::Request IdentifyServer::BuildIngest(
     const std::string& content_type, const std::string& body) {
   if (content_type != "application/octet-stream" &&
       content_type != "application/vnd.tcpdump.pcap")
-    return ImmediateError(415, "unsupported media type for /ingest");
+    return Ready(415, "unsupported media type for /ingest");
   capture::TraceError error;
   auto trace = capture::Trace::FromPcap(
       std::span<const std::uint8_t>(
           reinterpret_cast<const std::uint8_t*>(body.data()), body.size()),
       &error);
-  if (!trace)
-    return ImmediateError(400, "malformed pcap: " + error.ToString());
+  if (!trace) return Ready(400, "malformed pcap: " + error.ToString());
 
-  PendingHttp pending;
-  pending.kind = PendingHttp::Kind::kIngest;
-  pending.frames = trace->size();
+  Request request;
+  request.kind = Request::Kind::kIngest;
+  request.frames = trace->size();
   // The gateway's setup-phase capture decides which frames fingerprint a
   // device; a source that never completes one is skipped.
   DeviceMonitor monitor;
   for (CompletedCapture& capture : monitor.Replay(std::move(*trace)))
-    AdmitHttpProbe(capture.device_mac, std::move(capture.full), pending);
-  pending.devices_skipped = monitor.tracked_count() - pending.probes.size();
-  return pending;
+    request.probes.push_back(Probe{.mac = capture.device_mac,
+                                   .full = std::move(capture.full),
+                                   .fixed = std::move(capture.fixed)});
+  request.devices_skipped = monitor.tracked_count() - request.probes.size();
+  return request;
 }
 
 std::string IdentifyServer::RenderVerdictJson(
@@ -463,67 +420,67 @@ std::string IdentifyServer::RenderVerdictJson(
   return out;
 }
 
-void IdentifyServer::AppendProbeJson(std::string& out, const HttpProbe& probe,
-                                     const ProbeOutcome& outcome) {
+void IdentifyServer::AppendProbeJson(std::string& out, const Probe& probe) {
   out += "{\"mac\":";
-  obs::AppendJsonEscaped(out, probe.mac);
-  if (!probe.admitted) {
-    out += ",\"status\":\"rejected\",\"retry_after_ms\":";
-    out += std::to_string(probe.retry_after_ms);
-    out += '}';
-    return;
-  }
-  if (outcome.status == ProbeStatus::kShed) {
-    out += ",\"status\":\"superseded\"}";
-    return;
+  obs::AppendJsonEscaped(out, probe.mac.ToString());
+  switch (probe.state) {
+    case Probe::State::kRejected:
+      out += ",\"status\":\"rejected\",\"retry_after_ms\":";
+      out += std::to_string(probe.retry_after_ms);
+      out += '}';
+      return;
+    case Probe::State::kQueued:  // unreachable: Collect waits them out
+    case Probe::State::kShed:
+      out += ",\"status\":\"superseded\"}";
+      return;
+    case Probe::State::kServed:
+      break;
   }
   out += ",\"status\":\"served\",\"verdict\":";
-  out += RenderVerdictJson(outcome.result);
+  out += RenderVerdictJson(probe.result);
   out += ",\"batch_size\":";
-  out += std::to_string(outcome.batch_size);
+  out += std::to_string(probe.batch_size);
   out += ",\"queue_wait_ns\":";
-  out += std::to_string(outcome.queue_wait_ns);
+  out += std::to_string(probe.queue_wait_ns);
   out += '}';
 }
 
-obs::PostResponse IdentifyServer::RenderIdentify(PendingHttp& pending) {
-  const HttpProbe& probe = pending.probes.front();
+obs::PostResponse IdentifyServer::Render(Request& request) {
   obs::PostResponse response;
-  if (!probe.admitted) {
-    response.status = 429;
-    response.retry_after_ms = probe.retry_after_ms;
-    response.body = "{\"error\":\"overloaded\",\"retry_after_ms\":" +
-                    std::to_string(probe.retry_after_ms) + "}\n";
-    return response;
+  switch (request.kind) {
+    case Request::Kind::kReady:
+      return std::move(request.response);
+    case Request::Kind::kIdentify: {
+      const Probe& probe = request.probes.front();
+      if (probe.state == Probe::State::kRejected) {
+        response.status = 429;
+        response.retry_after_ms = probe.retry_after_ms;
+        response.body = "{\"error\":\"overloaded\",\"retry_after_ms\":" +
+                        std::to_string(probe.retry_after_ms) + "}\n";
+      } else if (probe.state != Probe::State::kServed) {
+        response.status = 429;
+        response.body =
+            "{\"error\":\"superseded\",\"detail\":"
+            "\"a newer probe for this device replaced this one\"}\n";
+      } else {
+        AppendProbeJson(response.body, probe);
+        response.body += '\n';
+      }
+      return response;
+    }
+    case Request::Kind::kIngest:
+      response.body = "{\"frames\":" + std::to_string(request.frames) +
+                      ",\"devices_skipped\":" +
+                      std::to_string(request.devices_skipped) +
+                      ",\"devices\":[";
+      for (std::size_t i = 0; i < request.probes.size(); ++i) {
+        if (i > 0) response.body += ',';
+        AppendProbeJson(response.body, request.probes[i]);
+      }
+      response.body += "]}\n";
+      return response;
   }
-  const ProbeOutcome outcome = WaitProbe(probe.ticket);
-  if (outcome.status == ProbeStatus::kShed) {
-    response.status = 429;
-    response.body =
-        "{\"error\":\"superseded\",\"detail\":"
-        "\"a newer probe for this device replaced this one\"}\n";
-    return response;
-  }
-  AppendProbeJson(response.body, probe, outcome);
-  response.body += '\n';
-  return response;
-}
-
-obs::PostResponse IdentifyServer::RenderIngest(PendingHttp& pending) {
-  obs::PostResponse response;
-  response.body = "{\"frames\":" + std::to_string(pending.frames) +
-                  ",\"devices_skipped\":" +
-                  std::to_string(pending.devices_skipped) + ",\"devices\":[";
-  bool first = true;
-  for (const HttpProbe& probe : pending.probes) {
-    ProbeOutcome outcome;
-    if (probe.admitted) outcome = WaitProbe(probe.ticket);
-    if (!first) response.body += ',';
-    first = false;
-    AppendProbeJson(response.body, probe, outcome);
-  }
-  response.body += "]}\n";
-  return response;
+  return {.status = 500, .body = "{\"error\":\"unreachable\"}\n"};
 }
 
 ServeStats IdentifyServer::stats() const {
@@ -533,7 +490,7 @@ ServeStats IdentifyServer::stats() const {
 
 std::size_t IdentifyServer::queue_depth() const {
   sentinel::MutexLock lock(mu_);
-  return queue_.depth();
+  return queue_.size();
 }
 
 }  // namespace sentinel::core

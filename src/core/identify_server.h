@@ -1,34 +1,41 @@
 // The always-on identification service behind `sentinelctl serve`'s POST
 // routes (DESIGN.md "Serving path"). Probes arrive over HTTP — a parsed
 // fingerprint on POST /identify, raw setup-phase frames on POST /ingest —
-// and are admitted into a bounded MAC-keyed queue (core/serve_batching.h).
+// and every request lives in one table, keyed by request id, from Submit
+// to Collect: either its ready response (a parse error, 404 or 415) or its
+// probes, each of which ends served, shed or rejected. Admitted probes
+// wait in one bounded FIFO queue whose entries name their (request,
+// probe).
 //
 // Serving is work-conserving: whenever a serving thread is free and the
 // queue is non-empty, it takes everything queued, up to batch_target, and
 // serves it through DeviceIdentifier::IdentifyBatch, the one
 // identification kernel. Two kinds of thread serve: the background drain
-// thread Start() launches, and any caller blocked in WaitProbe (a
-// connection handler collecting a verdict) whose probe is not done yet.
-// An admission wakes the drain thread only once a second probe is queued:
-// a lone probe is left to its own waiter, which is cheaper than a
-// cross-thread wake. Nothing waits for a batch to fill, so light load is
-// served at per-call latency; batches grow only while every serving
-// thread is busy. A batch is still one scan and one tie-break per probe,
-// so what batching amortizes is the queue lock, the wake-ups and the
-// socket writes, not the identification.
-// Without Start() the waiters alone serve the queue — the deterministic
-// seam the tests drive.
+// thread Start() launches, and any caller blocked in Collect (a
+// connection handler collecting a response) whose probes are not done
+// yet. An admission wakes the drain thread only once a second probe is
+// queued: a lone probe is left to its own collector, which is cheaper
+// than a cross-thread wake. Nothing waits for a batch to fill, so light
+// load is served at per-call latency; batches grow only while every
+// serving thread is busy. A batch is still one scan and one tie-break per
+// probe, so what batching amortizes is the queue lock, the wake-ups and
+// the socket writes, not the identification. Submit takes the queue lock
+// once; Collect takes it once, plus once per batch it serves.
+// Without Start() the collectors alone serve the queue — the
+// deterministic seam the tests drive.
 //
-// Overload is explicit, never silent: past the queue's capacity an older
-// probe of the same device is shed (the newest fingerprint per device
-// wins) and its waiter told 429, or — when no same-device probe is queued
-// — the new probe is rejected with 429 + Retry-After derived from the
-// observed service rate. Every served result equals a per-call Identify()
-// of the same fingerprint on every field but the two stage timings
-// (differentially tested), so the rendered verdict bytes are identical.
+// Overload is explicit, never silent: past the queue's capacity the
+// oldest queued probe of the same device is shed (the newest fingerprint
+// per device wins) and its request answered 429, or — when no
+// same-device probe is queued — the new probe is rejected with 429 +
+// Retry-After derived from the observed service rate. Every served result
+// equals a per-call Identify() of the same fingerprint on every field but
+// the two stage timings (differentially tested), so the rendered verdict
+// bytes are identical.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <thread>
@@ -36,7 +43,6 @@
 #include <vector>
 
 #include "core/device_identifier.h"
-#include "core/serve_batching.h"
 #include "features/fingerprint.h"
 #include "net/address.h"
 #include "obs/metrics.h"
@@ -47,12 +53,13 @@
 namespace sentinel::core {
 
 struct IdentifyServerConfig {
-  /// Admission queue capacity; probes past it shed or get 429.
+  /// Admission queue capacity; probes past it shed or get 429. Must be at
+  /// least 1.
   std::size_t queue_depth = 256;
   /// Largest batch one serving thread takes off the queue and serves
-  /// through IdentifyBatch (1 serves each probe alone). Batches of up to
-  /// 16 identify on the serving thread; see BENCH_serve.json's batch
-  /// histogram for the sizes saturation reaches.
+  /// through IdentifyBatch (1 serves each probe alone; must be at least
+  /// 1). Batches of up to 16 identify on the serving thread; see
+  /// BENCH_serve.json's batch histogram for the sizes saturation reaches.
   std::size_t batch_target = 16;
 };
 
@@ -84,7 +91,9 @@ struct ServeStats {
 
 class IdentifyServer : public obs::PostRoutes {
  public:
-  /// `identifier` must be trained and must outlive the server.
+  /// `identifier` must be trained and must outlive the server. Throws
+  /// std::invalid_argument when config.queue_depth or config.batch_target
+  /// is 0.
   explicit IdentifyServer(const DeviceIdentifier* identifier,
                           IdentifyServerConfig config = {});
   ~IdentifyServer() override;
@@ -92,11 +101,11 @@ class IdentifyServer : public obs::PostRoutes {
   IdentifyServer& operator=(const IdentifyServer&) = delete;
 
   /// Starts the background drain thread. Optional: without it, callers
-  /// of WaitProbe serve the queue themselves.
+  /// of Collect serve the queue themselves.
   void Start();
   /// Stops the drain thread and resolves every still-queued probe as
-  /// shed so no waiter blocks forever. Idempotent; the destructor calls
-  /// it.
+  /// shed so no collector blocks forever; later probes are rejected.
+  /// Idempotent; the destructor calls it.
   void Stop();
 
   /// Mirrors the serve counters into `registry` (attach before Start,
@@ -105,57 +114,25 @@ class IdentifyServer : public obs::PostRoutes {
   /// queue-wait histograms.
   void set_metrics(obs::MetricsRegistry* registry);
 
-  // --- probe API (what the HTTP facade and the tests drive) ---
+  // --- obs::PostRoutes (the HTTP facade, and what the tests drive) ---
 
-  struct Submission {
-    bool admitted = false;
-    /// Valid when admitted; pass to WaitProbe.
-    std::uint64_t ticket = 0;
-    /// When rejected: suggested client back-off.
-    std::uint64_t retry_after_ms = 0;
-  };
-  /// Admits one probe (never blocks). Both fingerprint forms are moved
-  /// in — the drain consumes them after the caller's buffers are gone.
-  Submission SubmitProbe(const net::MacAddress& mac,
-                         features::Fingerprint full,
-                         features::FixedFingerprint fixed);
-
-  enum class ProbeStatus {
-    kServed,
-    /// Shed before service: superseded by a newer same-device probe
-    /// under overload, or the server stopped.
-    kShed,
-  };
-  struct ProbeOutcome {
-    ProbeStatus status = ProbeStatus::kShed;
-    IdentificationResult result;
-    /// Size of the batch this probe was served in (0 when shed).
-    std::size_t batch_size = 0;
-    /// Admission-to-drain queueing delay (0 when shed).
-    std::uint64_t queue_wait_ns = 0;
-  };
-  /// Blocks until the ticket's probe is served or shed; consumes the
-  /// ticket. While the probe is pending and probes are queued, the caller
-  /// serves queued batches itself instead of sleeping.
-  [[nodiscard]] ProbeOutcome WaitProbe(std::uint64_t ticket);
-
-  // --- obs::PostRoutes (the HTTP facade) ---
-
-  /// Parses and admits one POST body. Routes: /identify with
-  /// application/json `{"mac": "...", "packets": [[23 uints]...]}` or
-  /// application/octet-stream (6 raw MAC octets + SFP fingerprint
-  /// bytes); /ingest with a classic pcap image, replayed through the
-  /// gateway's setup-phase capture (DeviceMonitor::Replay) into one probe
-  /// per captured device. Malformed input becomes a 400 collected later —
-  /// never an exception.
+  /// Parses and admits one POST body (never blocks, never throws).
+  /// Routes: /identify with application/json `{"mac": "...", "packets":
+  /// [[23 uints]...]}` or application/octet-stream (6 raw MAC octets +
+  /// SFP fingerprint bytes); /ingest with a classic pcap image, replayed
+  /// through the gateway's setup-phase capture (DeviceMonitor::Replay)
+  /// into one probe per captured device. Malformed input becomes a 400
+  /// collected later.
   [[nodiscard]] std::uint64_t Submit(const std::string& path,
                                      const std::string& content_type,
                                      std::string body) override;
-  /// Blocks until every probe of the request is served/shed and renders
-  /// the response; consumes the id.
+  /// Blocks until every probe of the request is served, shed or rejected
+  /// and renders the response; consumes the id. While its probes are
+  /// pending and probes are queued, the caller serves queued batches
+  /// itself instead of sleeping.
   [[nodiscard]] obs::PostResponse Collect(std::uint64_t request_id) override;
 
-  // --- introspection / test hooks ---
+  // --- introspection ---
 
   [[nodiscard]] ServeStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
@@ -170,35 +147,48 @@ class IdentifyServer : public obs::PostRoutes {
       const IdentificationResult& result);
 
  private:
-  /// Verdict slot a waiter parks on; keyed by ticket in slots_.
-  struct Slot {
-    bool done = false;
-    bool shed = false;
+  /// One probe of a request (one per captured device for /ingest) and,
+  /// once resolved, its outcome.
+  struct Probe {
+    enum class State { kQueued, kServed, kShed, kRejected };
+    net::MacAddress mac;
+    features::Fingerprint full;
+    features::FixedFingerprint fixed;
+    State state = State::kQueued;
+    std::uint64_t enqueue_ns = 0;
+    /// kServed: the verdict, its batch's size and its queueing delay.
     IdentificationResult result;
     std::size_t batch_size = 0;
     std::uint64_t queue_wait_ns = 0;
-  };
-
-  /// One submitted probe of an HTTP request (per device for /ingest).
-  struct HttpProbe {
-    std::string mac;
-    bool admitted = false;
-    std::uint64_t ticket = 0;
+    /// kRejected: suggested client back-off (0 once the server stopped).
     std::uint64_t retry_after_ms = 0;
   };
-  /// Parsed-and-admitted state of one HTTP request between Submit and
-  /// Collect.
-  struct PendingHttp {
-    enum class Kind { kImmediate, kIdentify, kIngest };
-    Kind kind = Kind::kImmediate;
-    /// Ready response (kImmediate: parse errors, 415s, immediate 429s).
+  /// One request between Submit and Collect.
+  struct Request {
+    enum class Kind { kReady, kIdentify, kIngest };
+    Kind kind = Kind::kReady;
+    /// kReady: the response (a 400/415 for a malformed body, a 404).
     obs::PostResponse response;
-    std::vector<HttpProbe> probes;
-    /// /ingest provenance for the response body.
+    std::vector<Probe> probes;
+    /// Probes still queued or in service.
+    std::size_t unresolved = 0;
+    /// kIngest provenance for the response body.
     std::size_t frames = 0;
     std::size_t devices_skipped = 0;
   };
+  /// A queued probe. The pointers stay valid while it is queued or in
+  /// service: requests_ never moves its nodes, a request's probes are
+  /// never resized after Submit, and Collect erases a request only once
+  /// none of its probes is unresolved.
+  struct Queued {
+    Request* request;
+    Probe* probe;
+  };
 
+  /// Queues `probe` of `request`, shedding the oldest queued probe of the
+  /// same device when the queue is full, or else rejects it.
+  void AdmitLocked(Request& request, Probe& probe, std::uint64_t now_ns)
+      SENTINEL_REQUIRES(mu_);
   /// Suggested Retry-After from current depth x observed per-probe
   /// service time (a fixed 1 ms per probe before any batch has been
   /// measured).
@@ -208,27 +198,19 @@ class IdentifyServer : public obs::PostRoutes {
   void DrainLoop();
   /// The one serving step both kinds of serving thread take: pops up to
   /// batch_target queued probes, identifies them through IdentifyBatch
-  /// with mu_ released, then fills their slots and wakes the waiters.
+  /// with mu_ released, then resolves them and wakes the collectors.
   /// Requires a non-empty queue; returns with mu_ held again.
   void ServeNextBatchLocked() SENTINEL_REQUIRES(mu_);
 
-  PendingHttp BuildIdentify(const std::string& content_type,
-                            const std::string& body);
-  PendingHttp BuildIngest(const std::string& content_type,
-                          const std::string& body);
-  /// Ready error response; counts nothing — the callers below attribute.
-  static PendingHttp ImmediateResponse(int status,
-                                       const std::string& message);
-  /// ImmediateResponse counted as a malformed body (400/415).
-  PendingHttp ImmediateError(int status, const std::string& message);
-  /// Admits one parsed fingerprint and appends its HttpProbe record.
-  void AdmitHttpProbe(const net::MacAddress& mac, features::Fingerprint full,
-                      PendingHttp& pending);
-  [[nodiscard]] obs::PostResponse RenderIdentify(PendingHttp& pending);
-  [[nodiscard]] obs::PostResponse RenderIngest(PendingHttp& pending);
-  /// Renders one probe's outcome into `out` (shared by both renderers).
-  void AppendProbeJson(std::string& out, const HttpProbe& probe,
-                       const ProbeOutcome& outcome);
+  static Request BuildIdentify(const std::string& content_type,
+                               const std::string& body);
+  static Request BuildIngest(const std::string& content_type,
+                             const std::string& body);
+  /// A request answered without a probe: an error response.
+  static Request Ready(int status, const std::string& message);
+  static obs::PostResponse Render(Request& request);
+  /// Renders one probe's outcome into `out` (shared by both routes).
+  static void AppendProbeJson(std::string& out, const Probe& probe);
 
   /// Metric handles resolved once in set_metrics(); all-null when
   /// detached.
@@ -252,13 +234,11 @@ class IdentifyServer : public obs::PostRoutes {
   mutable sentinel::Mutex mu_{"identify_server.queue"};
   /// Drain wake-ups: new admission or stop.
   sentinel::CondVar work_cv_;
-  /// Waiter wake-ups: batch served or probe shed.
+  /// Collector wake-ups: batch served or probe shed.
   sentinel::CondVar done_cv_;
-  AdmissionQueue queue_ SENTINEL_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, Slot> slots_ SENTINEL_GUARDED_BY(mu_);
-  std::unordered_map<std::uint64_t, PendingHttp> pending_
+  std::unordered_map<std::uint64_t, Request> requests_
       SENTINEL_GUARDED_BY(mu_);
-  std::uint64_t next_ticket_ SENTINEL_GUARDED_BY(mu_) = 0;
+  std::deque<Queued> queue_ SENTINEL_GUARDED_BY(mu_);
   std::uint64_t next_request_ SENTINEL_GUARDED_BY(mu_) = 0;
   ServeStats stats_ SENTINEL_GUARDED_BY(mu_);
   /// Smoothed per-probe service time, feeding Retry-After.

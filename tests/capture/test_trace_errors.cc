@@ -11,7 +11,6 @@
 
 #include "capture/trace.h"
 #include "net/frame.h"
-#include "net/pcap.h"
 
 namespace sentinel::capture {
 namespace {
@@ -28,7 +27,7 @@ net::Frame MakeFrame(std::uint64_t ts_ns, std::size_t payload) {
 }
 
 std::vector<std::uint8_t> ValidCapture() {
-  return net::EncodePcap({MakeFrame(1000, 4), MakeFrame(2000, 9)});
+  return EncodePcap({MakeFrame(1000, 4), MakeFrame(2000, 9)});
 }
 
 TEST(TraceFromPcap, ValidCaptureRoundTrips) {
@@ -37,13 +36,13 @@ TEST(TraceFromPcap, ValidCaptureRoundTrips) {
   ASSERT_TRUE(trace.has_value());
   ASSERT_EQ(trace->size(), 2u);
   EXPECT_EQ(trace->frames()[0].timestamp_ns, 1000u);
-  const auto expected = net::EncodePcap(
+  const auto expected = EncodePcap(
       {MakeFrame(1000, 4), MakeFrame(2000, 9)});
-  EXPECT_EQ(net::EncodePcap(trace->frames()), expected);
+  EXPECT_EQ(EncodePcap(trace->frames()), expected);
 }
 
 TEST(TraceFromPcap, EmptyRecordSectionIsAnEmptyTrace) {
-  const auto data = net::EncodePcap({});
+  const auto data = EncodePcap({});
   const auto trace = Trace::FromPcap(data);
   ASSERT_TRUE(trace.has_value());
   EXPECT_TRUE(trace->empty());
@@ -108,6 +107,20 @@ TEST(TraceFromPcap, OversizedRecord) {
   EXPECT_EQ(error.record_index, 0u);
 }
 
+TEST(TraceFromPcap, TruncatedRecordPayloadNamesItsRecord) {
+  // A capture cut inside its last payload names that record and both
+  // lengths — what `sentinelctl identify` prints for a cut-short file. The
+  // last frame is 62 bytes (Ethernet, IPv4 and UDP headers + 20 payload
+  // bytes); cutting 10 leaves 52.
+  auto data = EncodePcap({MakeFrame(1000, 4), MakeFrame(2000, 9),
+                          MakeFrame(3000, 1), MakeFrame(4000, 20)});
+  data.resize(data.size() - 10);
+  TraceError error;
+  EXPECT_FALSE(Trace::FromPcap(data, &error).has_value());
+  EXPECT_EQ(error.ToString(),
+            "truncated_record at record 3: payload needs 62 bytes, have 52");
+}
+
 TEST(TraceFromPcap, NoPartialTraceOnMidCaptureCorruption) {
   // First record intact, second truncated: the intact prefix must NOT be
   // returned as a shorter-but-valid capture.
@@ -132,12 +145,6 @@ TEST(TraceFromPcap, SwappedByteOrderAccepted) {
   EXPECT_TRUE(trace->empty());
 }
 
-TEST(TraceFromPcapFile, MissingFileThrows) {
-  EXPECT_THROW(
-      { auto t = Trace::FromPcapFile("/nonexistent/path/capture.pcap"); },
-      std::runtime_error);
-}
-
 TEST(TraceFromPcapFile, MalformedFileReportsTypedError) {
   const std::string path = testing::TempDir() + "/garbage.pcap";
   {
@@ -148,18 +155,8 @@ TEST(TraceFromPcapFile, MalformedFileReportsTypedError) {
     std::fclose(f);
   }
   TraceError error;
-  EXPECT_FALSE(Trace::FromPcapFile(path, &error).has_value());
+  EXPECT_FALSE(ReadPcapFile(path, &error).has_value());
   EXPECT_EQ(error.kind, TraceErrorKind::kBadMagic);
-  std::remove(path.c_str());
-}
-
-TEST(TraceFromPcapFile, ValidFileRoundTrips) {
-  const std::string path = testing::TempDir() + "/valid.pcap";
-  net::WritePcapFile(path, {MakeFrame(42, 3)});
-  TraceError error;
-  const auto trace = Trace::FromPcapFile(path, &error);
-  ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->size(), 1u);
   std::remove(path.c_str());
 }
 

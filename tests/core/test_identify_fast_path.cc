@@ -17,6 +17,7 @@
 #include "core/identify_server.h"
 #include "core/security_service.h"
 #include "devices/simulator.h"
+#include "features/fingerprint_codec.h"
 #include "gateway_capture.h"
 #include "net/byte_io.h"
 #include "obs/metrics.h"
@@ -270,50 +271,57 @@ TEST(IdentifyFastPath, BatchCountsMatchPerCallCounts) {
 // The stage timings the gateway journals and the e2e benchmark's per-layer
 // split read: classification_time, discrimination_time and one
 // discrimination-histogram observation per probe that reached stage 2 —
-// per call and on probes served through an IdentifyServer alike.
+// per call and on probes served through an IdentifyServer alike. A served
+// response carries no stage timings, so the served half reads them from
+// the identifier's stage histograms, which observe the same clock reads.
 TEST(IdentifyFastPath, StageTimingsSurvive) {
   const auto dataset = devices::GenerateFingerprintDataset(6, 71);
   obs::MetricsRegistry registry;
   core::DeviceIdentifier identifier;
   identifier.set_metrics(&registry);
   identifier.Train(ToExamples(dataset));
+  const auto& classification =
+      registry.GetHistogram("sentinel_stage_bank_scan_ns", "");
   const auto& discrimination =
       registry.GetHistogram("sentinel_stage_tie_break_ns", "");
-  const auto expect_timed = [](const core::IdentificationResult& result) {
-    EXPECT_GT(result.classification_time.count(), 0);
-    if (result.matched_types.size() > 1) {
-      EXPECT_GT(result.discrimination_time.count(), 0);
-    }
-  };
   std::uint64_t reached_stage2 = 0;
   std::size_t multi_matches = 0;
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     const auto result =
         identifier.Identify(dataset.fingerprints[i], dataset.fixed[i]);
-    expect_timed(result);
+    EXPECT_GT(result.classification_time.count(), 0);
+    if (result.matched_types.size() > 1) {
+      EXPECT_GT(result.discrimination_time.count(), 0);
+    }
     if (!result.matched_types.empty()) ++reached_stage2;
     if (result.matched_types.size() > 1) ++multi_matches;
   }
   EXPECT_GT(multi_matches, 0u);
+  EXPECT_EQ(classification.Count(), dataset.size());
   EXPECT_EQ(discrimination.Count(), reached_stage2);
+  const auto per_call_scan = classification.Read();
+  const auto per_call_tie_break = discrimination.Read();
 
-  // Never started, so the waiters serve the queue in batches of 16.
+  // Never started, so the collectors serve the queue in batches of 16.
   core::IdentifyServer server(&identifier, {.queue_depth = dataset.size(),
                                             .batch_target = 16});
-  std::vector<std::uint64_t> tickets;
+  std::vector<std::uint64_t> ids;
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    const auto submission = server.SubmitProbe(
-        net::MacAddress::FromUint64(0x020000000000ull + i),
-        dataset.fingerprints[i], dataset.fixed[i]);
-    ASSERT_TRUE(submission.admitted);
-    tickets.push_back(submission.ticket);
+    std::string body(6, '\0');
+    body[5] = static_cast<char>(i);
+    const auto bytes = features::SerializeFingerprint(dataset.fingerprints[i]);
+    body.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+    ids.push_back(
+        server.Submit("/identify", "application/octet-stream", body));
   }
-  for (const std::uint64_t ticket : tickets) {
-    const auto served = server.WaitProbe(ticket);
-    ASSERT_EQ(served.status, core::IdentifyServer::ProbeStatus::kServed);
-    expect_timed(served.result);
-  }
+  for (const std::uint64_t id : ids) ASSERT_EQ(server.Collect(id).status, 200);
+  EXPECT_EQ(server.stats().probes_served, dataset.size());
+  // Every served probe timed its bank scan, and its tie-break when it
+  // reached stage 2.
+  EXPECT_EQ(classification.Count(), 2 * dataset.size());
   EXPECT_EQ(discrimination.Count(), 2 * reached_stage2);
+  EXPECT_GT(classification.Read().sum, per_call_scan.sum);
+  EXPECT_GT(discrimination.Read().sum, per_call_tie_break.sum);
 }
 
 // The quality monitor reads the bank scan's leaders: every series it keeps

@@ -1,22 +1,26 @@
-// IdentifyServer tests: work-conserving batch formation (on a server
-// that was never Start()ed, the waiters alone serve the queue, so every
-// batch is deterministic), the differential guarantee (served verdicts
-// bit-identical to per-call Identify, down to the rendered JSON bytes),
-// explicit overload semantics (reject-with-Retry-After and
-// shed-oldest-per-MAC), the drain thread and waiters serving side by side,
-// and the HTTP facade's parsing of all three probe formats.
+// IdentifyServer tests, all through Submit/Collect: work-conserving batch
+// formation (on a server that was never Start()ed, the collectors alone
+// serve the queue, so every batch is deterministic), the differential
+// guarantee (served verdicts bit-identical to per-call Identify, down to
+// the rendered JSON bytes), the admission queue's FIFO order and overload
+// rules (reject-with-Retry-After and shed-oldest-per-MAC), the queue
+// lock's per-request budget, the drain thread and collectors serving side
+// by side, and the HTTP facade's parsing of all three probe formats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "capture/trace.h"
 #include "core/device_monitor.h"
 #include "core/gateway.h"
 #include "core/identify_server.h"
@@ -24,9 +28,9 @@
 #include "devices/simulator.h"
 #include "features/fingerprint_codec.h"
 #include "gateway_capture.h"
-#include "net/pcap.h"
 #include "obs/metrics.h"
 #include "util/json.h"
+#include "util/lock_telemetry.h"
 
 namespace sentinel::core {
 namespace {
@@ -73,187 +77,6 @@ std::string PerCallVerdict(std::size_t i) {
       SharedIdentifier().Identify(probes.fingerprints[i], probes.fixed[i]));
 }
 
-TEST(IdentifyServer, SizeTargetFormsOneBatchAndVerdictsMatchPerCall) {
-  // Not started: the first waiter takes everything queued, up to the cap,
-  // and the next waiter whose probe is still queued takes the rest. A cap
-  // of 1 serves every probe alone, through the same batch kernel.
-  constexpr std::size_t kProbes = 10;
-  for (const std::size_t target : {std::size_t{8}, std::size_t{1}}) {
-    SCOPED_TRACE(target);
-    IdentifyServer server(&SharedIdentifier(),
-                          {.queue_depth = 64, .batch_target = target});
-    const auto& probes = Probes();
-    std::vector<std::uint64_t> tickets;
-    for (std::size_t i = 0; i < kProbes; ++i) {
-      const auto submission = server.SubmitProbe(
-          Mac(static_cast<std::uint8_t>(i)), probes.fingerprints[i],
-          probes.fixed[i]);
-      ASSERT_TRUE(submission.admitted);
-      tickets.push_back(submission.ticket);
-    }
-    for (std::size_t i = 0; i < kProbes; ++i) {
-      const auto outcome = server.WaitProbe(tickets[i]);
-      ASSERT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
-      const std::size_t batch_start = i / target * target;
-      EXPECT_EQ(outcome.batch_size, std::min(target, kProbes - batch_start));
-      // The rendered verdict JSON — what a client actually receives — must
-      // be byte-identical to the per-call path's rendering.
-      EXPECT_EQ(IdentifyServer::RenderVerdictJson(outcome.result),
-                PerCallVerdict(i));
-    }
-    const std::size_t full_batches = kProbes / target;
-    const std::size_t remainder = kProbes % target;
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.batches, full_batches + (remainder > 0 ? 1 : 0));
-    EXPECT_EQ(stats.flush_size, full_batches);
-    EXPECT_EQ(stats.flush_sparse, remainder > 0 ? 1u : 0u);
-    EXPECT_EQ(stats.flush_deadline, 0u);
-    EXPECT_EQ(stats.probes_served, kProbes);
-    EXPECT_EQ(stats.batch_size_counts.at(target), full_batches);
-    if (remainder > 0) {
-      EXPECT_EQ(stats.batch_size_counts.at(remainder), 1u);
-    }
-  }
-}
-
-TEST(IdentifyServer, PartialBatchIsServedWithoutWaiting) {
-  IdentifyServer server(&SharedIdentifier(),
-                        {.queue_depth = 64, .batch_target = 16});
-  const auto& probes = Probes();
-  const auto submission =
-      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
-  ASSERT_TRUE(submission.admitted);
-  // One probe of a target of 16: served at once, nothing holds out for
-  // more probes.
-  const auto outcome = server.WaitProbe(submission.ticket);
-  EXPECT_EQ(outcome.status, IdentifyServer::ProbeStatus::kServed);
-  EXPECT_EQ(outcome.batch_size, 1u);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.flush_sparse, 1u);
-  EXPECT_EQ(stats.flush_deadline, 0u);
-}
-
-TEST(IdentifyServer, OverloadRejectsWithRetryAfter) {
-  IdentifyServer server(&SharedIdentifier(),
-                        {.queue_depth = 2, .batch_target = 16});
-  const auto& probes = Probes();
-  ASSERT_TRUE(
-      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0])
-          .admitted);
-  ASSERT_TRUE(
-      server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
-          .admitted);
-  // Queue full, no same-MAC victim: explicit rejection with back-off.
-  const auto rejected =
-      server.SubmitProbe(Mac(3), probes.fingerprints[2], probes.fixed[2]);
-  EXPECT_FALSE(rejected.admitted);
-  EXPECT_GE(rejected.retry_after_ms, 1u);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.admitted, 2u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(server.queue_depth(), 2u);
-}
-
-TEST(IdentifyServer, OverloadShedsOldestProbeOfSameDevice) {
-  IdentifyServer server(&SharedIdentifier(),
-                        {.queue_depth = 2, .batch_target = 2});
-  const auto& probes = Probes();
-  const auto first =
-      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
-  ASSERT_TRUE(
-      server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
-          .admitted);
-  // Same device again on a full queue: the stale probe is shed, the
-  // fresh one admitted.
-  const auto fresh =
-      server.SubmitProbe(Mac(1), probes.fingerprints[2], probes.fixed[2]);
-  ASSERT_TRUE(fresh.admitted);
-  const auto shed_outcome = server.WaitProbe(first.ticket);
-  EXPECT_EQ(shed_outcome.status, IdentifyServer::ProbeStatus::kShed);
-  // The superseded waiter returns without serving; the fresh probe's
-  // waiter serves both survivors as one batch.
-  const auto fresh_outcome = server.WaitProbe(fresh.ticket);
-  EXPECT_EQ(fresh_outcome.status, IdentifyServer::ProbeStatus::kServed);
-  EXPECT_EQ(fresh_outcome.batch_size, 2u);
-  EXPECT_EQ(server.stats().shed, 1u);
-}
-
-TEST(IdentifyServer, StopResolvesQueuedProbesAsShed) {
-  IdentifyServer server(&SharedIdentifier(),
-                        {.queue_depth = 8, .batch_target = 8});
-  const auto& probes = Probes();
-  const auto submission =
-      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
-  ASSERT_TRUE(submission.admitted);
-  server.Stop();
-  EXPECT_EQ(server.WaitProbe(submission.ticket).status,
-            IdentifyServer::ProbeStatus::kShed);
-  // A post-stop submission is turned away, not silently queued.
-  EXPECT_FALSE(
-      server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
-          .admitted);
-}
-
-TEST(IdentifyServer, MirrorsCountersIntoMetricsRegistry) {
-  obs::MetricsRegistry registry;
-  IdentifyServer server(&SharedIdentifier(),
-                        {.queue_depth = 8, .batch_target = 2});
-  server.set_metrics(&registry);
-  const auto& probes = Probes();
-  const auto first =
-      server.SubmitProbe(Mac(1), probes.fingerprints[0], probes.fixed[0]);
-  ASSERT_TRUE(first.admitted);
-  ASSERT_TRUE(
-      server.SubmitProbe(Mac(2), probes.fingerprints[1], probes.fixed[1])
-          .admitted);
-  EXPECT_EQ(server.WaitProbe(first.ticket).batch_size, 2u);
-  const std::string exposition = registry.RenderPrometheus();
-  EXPECT_NE(exposition.find("sentinel_serve_admitted_total 2"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("sentinel_serve_batches_total 1"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("sentinel_serve_queue_depth 0"),
-            std::string::npos);
-  EXPECT_NE(exposition.find("sentinel_serve_batch_size"), std::string::npos);
-}
-
-TEST(IdentifyServer, DrainAndWaitersServeConcurrentSubmitters) {
-  // Started: the drain thread and every blocked waiter serve side by
-  // side. Each verdict must still equal its per-call rendering.
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 200;
-  const auto& probes = Probes();
-  std::vector<std::string> expected;
-  for (std::size_t i = 0; i < probes.size(); ++i)
-    expected.push_back(PerCallVerdict(i));
-  IdentifyServer server(&SharedIdentifier(), {});
-  server.Start();
-  std::vector<std::size_t> mismatches(kThreads, 0);
-  std::vector<std::thread> submitters;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    submitters.emplace_back([&, t] {
-      for (std::size_t n = 0; n < kPerThread; ++n) {
-        const std::size_t i = (t * kPerThread + n) % probes.size();
-        const auto submission = server.SubmitProbe(
-            Mac(static_cast<std::uint8_t>(t)), probes.fingerprints[i],
-            probes.fixed[i]);
-        const auto outcome = server.WaitProbe(submission.ticket);
-        if (!submission.admitted ||
-            outcome.status != IdentifyServer::ProbeStatus::kServed ||
-            IdentifyServer::RenderVerdictJson(outcome.result) != expected[i])
-          ++mismatches[t];
-      }
-    });
-  }
-  for (auto& submitter : submitters) submitter.join();
-  for (std::size_t t = 0; t < kThreads; ++t)
-    EXPECT_EQ(mismatches[t], 0u) << "submitter " << t;
-  EXPECT_EQ(server.stats().probes_served, kThreads * kPerThread);
-  server.Stop();
-}
-
-// --- HTTP facade (per-request formats) ---
-
 std::string ProbeJson(const features::Fingerprint& fingerprint,
                       const std::string& mac) {
   std::string body = "{\"mac\":\"" + mac + "\",\"packets\":[";
@@ -277,6 +100,318 @@ std::string ProbeBinary(const features::Fingerprint& fingerprint,
   body.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   return body;
 }
+
+/// Submits probe `i` as a binary /identify body from device `mac`.
+std::uint64_t SubmitProbe(IdentifyServer& server, std::size_t i,
+                          const net::MacAddress& mac) {
+  return server.Submit("/identify", "application/octet-stream",
+                       ProbeBinary(Probes().fingerprints[i], mac));
+}
+
+/// What one /identify response says about its probe.
+struct Outcome {
+  int status = 0;
+  /// "served", or the 429's error: "superseded" or "overloaded".
+  std::string state;
+  /// The served verdict object's bytes.
+  std::string verdict;
+  std::size_t batch_size = 0;
+  std::uint64_t retry_after_ms = 0;
+};
+
+Outcome CollectProbe(IdentifyServer& server, std::uint64_t id) {
+  const obs::PostResponse response = server.Collect(id);
+  Outcome outcome{.status = response.status,
+                  .retry_after_ms = response.retry_after_ms};
+  const auto document = util::ParseJson(response.body);
+  if (!document) return outcome;
+  if (const auto* error = document->Find("error"))
+    outcome.state = error->string;
+  if (const auto* status = document->Find("status"))
+    outcome.state = status->string;
+  if (const auto* batch = document->Find("batch_size"))
+    outcome.batch_size = static_cast<std::size_t>(batch->number);
+  const std::string key = "\"verdict\":";
+  const auto begin = response.body.find(key);
+  const auto end = response.body.find(",\"batch_size\":");
+  if (begin != std::string::npos && end != std::string::npos)
+    outcome.verdict = response.body.substr(begin + key.size(),
+                                           end - begin - key.size());
+  return outcome;
+}
+
+TEST(IdentifyServer, SizeTargetFormsOneBatchAndVerdictsMatchPerCall) {
+  // Not started: the first collector takes everything queued, up to the
+  // cap, and the next collector whose probe is still queued takes the
+  // rest. A cap of 1 serves every probe alone, through the same batch
+  // kernel.
+  constexpr std::size_t kProbes = 10;
+  for (const std::size_t target : {std::size_t{8}, std::size_t{1}}) {
+    SCOPED_TRACE(target);
+    IdentifyServer server(&SharedIdentifier(),
+                          {.queue_depth = 64, .batch_target = target});
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < kProbes; ++i)
+      ids.push_back(SubmitProbe(server, i, Mac(static_cast<std::uint8_t>(i))));
+    for (std::size_t i = 0; i < kProbes; ++i) {
+      const Outcome outcome = CollectProbe(server, ids[i]);
+      ASSERT_EQ(outcome.state, "served");
+      const std::size_t batch_start = i / target * target;
+      EXPECT_EQ(outcome.batch_size, std::min(target, kProbes - batch_start));
+      // The rendered verdict JSON — what a client actually receives — must
+      // be byte-identical to the per-call path's rendering.
+      EXPECT_EQ(outcome.verdict, PerCallVerdict(i));
+    }
+    const std::size_t full_batches = kProbes / target;
+    const std::size_t remainder = kProbes % target;
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.batches, full_batches + (remainder > 0 ? 1 : 0));
+    EXPECT_EQ(stats.flush_size, full_batches);
+    EXPECT_EQ(stats.flush_sparse, remainder > 0 ? 1u : 0u);
+    EXPECT_EQ(stats.flush_deadline, 0u);
+    EXPECT_EQ(stats.probes_served, kProbes);
+    EXPECT_EQ(stats.batch_size_counts.at(target), full_batches);
+    if (remainder > 0) {
+      EXPECT_EQ(stats.batch_size_counts.at(remainder), 1u);
+    }
+  }
+}
+
+TEST(IdentifyServer, PartialBatchIsServedWithoutWaiting) {
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 64, .batch_target = 16});
+  // One probe of a target of 16: served at once, nothing holds out for
+  // more probes.
+  const Outcome outcome = CollectProbe(server, SubmitProbe(server, 0, Mac(1)));
+  EXPECT_EQ(outcome.state, "served");
+  EXPECT_EQ(outcome.batch_size, 1u);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.flush_sparse, 1u);
+  EXPECT_EQ(stats.flush_deadline, 0u);
+}
+
+TEST(IdentifyServer, ZeroQueueDepthOrBatchTargetIsRejected) {
+  EXPECT_THROW(
+      { IdentifyServer server(&SharedIdentifier(), {.queue_depth = 0}); },
+      std::invalid_argument);
+  EXPECT_THROW(
+      {
+        IdentifyServer server(&SharedIdentifier(),
+                              {.queue_depth = 8, .batch_target = 0});
+      },
+      std::invalid_argument);
+}
+
+TEST(IdentifyServer, OverloadRejectsWithRetryAfter) {
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 2, .batch_target = 16});
+  (void)SubmitProbe(server, 0, Mac(1));
+  (void)SubmitProbe(server, 1, Mac(2));
+  // Queue full, no same-MAC victim: explicit rejection with back-off.
+  const std::uint64_t rejected = SubmitProbe(server, 2, Mac(3));
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(server.queue_depth(), 2u);
+  const Outcome outcome = CollectProbe(server, rejected);
+  EXPECT_EQ(outcome.status, 429);
+  EXPECT_EQ(outcome.state, "overloaded");
+  EXPECT_GE(outcome.retry_after_ms, 1u);
+}
+
+TEST(IdentifyServer, OverloadShedsOldestProbeOfSameDevice) {
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 2, .batch_target = 2});
+  const std::uint64_t first = SubmitProbe(server, 0, Mac(1));
+  (void)SubmitProbe(server, 1, Mac(2));
+  // Same device again on a full queue: the stale probe is shed, the
+  // fresh one admitted.
+  const std::uint64_t fresh = SubmitProbe(server, 2, Mac(1));
+  const Outcome shed = CollectProbe(server, first);
+  EXPECT_EQ(shed.status, 429);
+  EXPECT_EQ(shed.state, "superseded");
+  // The superseded collector returns without serving; the fresh probe's
+  // collector serves both survivors as one batch.
+  const Outcome served = CollectProbe(server, fresh);
+  EXPECT_EQ(served.state, "served");
+  EXPECT_EQ(served.batch_size, 2u);
+  EXPECT_EQ(server.stats().shed, 1u);
+}
+
+TEST(IdentifyServer, StopResolvesQueuedProbesAsShed) {
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 8, .batch_target = 8});
+  const std::uint64_t queued = SubmitProbe(server, 0, Mac(1));
+  server.Stop();
+  EXPECT_EQ(CollectProbe(server, queued).state, "superseded");
+  // A post-stop submission is turned away, not silently queued, and
+  // without a back-off hint: retrying will not help.
+  const Outcome late = CollectProbe(server, SubmitProbe(server, 1, Mac(2)));
+  EXPECT_EQ(late.status, 429);
+  EXPECT_EQ(late.state, "overloaded");
+  EXPECT_EQ(late.retry_after_ms, 0u);
+  EXPECT_EQ(server.stats().admitted, 1u);
+  EXPECT_EQ(server.stats().rejected, 0u);
+}
+
+TEST(IdentifyServer, MirrorsCountersIntoMetricsRegistry) {
+  obs::MetricsRegistry registry;
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 8, .batch_target = 2});
+  server.set_metrics(&registry);
+  const std::uint64_t first = SubmitProbe(server, 0, Mac(1));
+  (void)SubmitProbe(server, 1, Mac(2));
+  EXPECT_EQ(CollectProbe(server, first).batch_size, 2u);
+  const std::string exposition = registry.RenderPrometheus();
+  EXPECT_NE(exposition.find("sentinel_serve_admitted_total 2"),
+            std::string::npos);
+  EXPECT_NE(exposition.find("sentinel_serve_batches_total 1"),
+            std::string::npos);
+  EXPECT_NE(exposition.find("sentinel_serve_queue_depth 0"),
+            std::string::npos);
+  EXPECT_NE(exposition.find("sentinel_serve_batch_size"), std::string::npos);
+}
+
+TEST(IdentifyServer, DrainAndWaitersServeConcurrentSubmitters) {
+  // Started: the drain thread and every blocked collector serve side by
+  // side. Each verdict must still equal its per-call rendering.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 200;
+  const auto& probes = Probes();
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < probes.size(); ++i)
+    expected.push_back(PerCallVerdict(i));
+  IdentifyServer server(&SharedIdentifier(), {});
+  server.Start();
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t n = 0; n < kPerThread; ++n) {
+        const std::size_t i = (t * kPerThread + n) % probes.size();
+        const Outcome outcome = CollectProbe(
+            server,
+            SubmitProbe(server, i, Mac(static_cast<std::uint8_t>(t))));
+        if (outcome.state != "served" || outcome.verdict != expected[i])
+          ++mismatches[t];
+      }
+    });
+  }
+  for (auto& submitter : submitters) submitter.join();
+  for (std::size_t t = 0; t < kThreads; ++t)
+    EXPECT_EQ(mismatches[t], 0u) << "submitter " << t;
+  EXPECT_EQ(server.stats().probes_served, kThreads * kPerThread);
+  server.Stop();
+}
+
+/// Acquisitions of the identify_server.queue lock site so far.
+std::uint64_t QueueLockAcquisitions() {
+  for (std::size_t i = 0; i < LockSiteCount(); ++i) {
+    const LockSiteStats& site = LockSiteAt(i);
+    if (site.Name() != nullptr &&
+        std::strcmp(site.Name(), "identify_server.queue") == 0)
+      // ordering: relaxed — read after every acquisition it counts, on
+      // this thread.
+      return site.acquisitions.load(std::memory_order_relaxed);
+  }
+  return 0;
+}
+
+TEST(IdentifyServer, QueueLockBudgetPerRequest) {
+  // Never started, so this test's requests make every acquisition: Submit
+  // takes the lock once, Collect once plus once per batch it serves.
+  ASSERT_TRUE(LockTelemetryEnabled());
+  IdentifyServer sequential(&SharedIdentifier(),
+                            {.queue_depth = 64, .batch_target = 16});
+  std::uint64_t before = QueueLockAcquisitions();
+  constexpr std::size_t kSequential = 64;
+  for (std::size_t n = 0; n < kSequential; ++n) {
+    const std::uint64_t id = SubmitProbe(sequential, n % Probes().size(),
+                                         Mac(static_cast<std::uint8_t>(n)));
+    ASSERT_EQ(sequential.Collect(id).status, 200);
+  }
+  EXPECT_LE(static_cast<double>(QueueLockAcquisitions() - before) /
+                kSequential,
+            3.0);
+
+  // A pipelined burst at the batch target: the first collector serves all
+  // sixteen in one batch.
+  constexpr std::size_t kBurst = 16;
+  IdentifyServer burst(&SharedIdentifier(),
+                       {.queue_depth = 64, .batch_target = kBurst});
+  before = QueueLockAcquisitions();
+  std::vector<std::uint64_t> ids;
+  for (std::size_t n = 0; n < kBurst; ++n)
+    ids.push_back(SubmitProbe(burst, n, Mac(static_cast<std::uint8_t>(n))));
+  for (const std::uint64_t id : ids) ASSERT_EQ(burst.Collect(id).status, 200);
+  EXPECT_LE(static_cast<double>(QueueLockAcquisitions() - before) / kBurst,
+            2.1);
+  EXPECT_EQ(burst.stats().batches, 1u);
+}
+
+// --- The admission queue's rules, seen through Submit/Collect ---
+
+TEST(AdmissionQueue, FifoOrderAndBoundedPop) {
+  // Never started: the first collector serves the oldest three probes (the
+  // batch target), the fourth probe's collector the two left.
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 8, .batch_target = 3});
+  std::vector<std::uint64_t> ids;
+  for (std::uint8_t n = 1; n <= 5; ++n)
+    ids.push_back(SubmitProbe(server, n, Mac(n)));
+  EXPECT_EQ(server.queue_depth(), 5u);
+  EXPECT_EQ(CollectProbe(server, ids[0]).batch_size, 3u);
+  EXPECT_EQ(server.queue_depth(), 2u);
+  EXPECT_EQ(CollectProbe(server, ids[2]).batch_size, 3u);
+  EXPECT_EQ(server.stats().batches, 1u);
+  // Capped at what is queued.
+  EXPECT_EQ(CollectProbe(server, ids[3]).batch_size, 2u);
+  EXPECT_EQ(CollectProbe(server, ids[1]).batch_size, 3u);
+  EXPECT_EQ(CollectProbe(server, ids[4]).batch_size, 2u);
+  EXPECT_EQ(server.stats().batches, 2u);
+  EXPECT_EQ(server.queue_depth(), 0u);
+}
+
+TEST(AdmissionQueue, FullQueueShedsOldestProbeOfSameDevice) {
+  // A batch target of 1: each batch is the queue's front probe.
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 3, .batch_target = 1});
+  // Two probes of device 1 and one of device 2.
+  const std::uint64_t oldest = SubmitProbe(server, 0, Mac(1));
+  const std::uint64_t other = SubmitProbe(server, 1, Mac(2));
+  const std::uint64_t newer = SubmitProbe(server, 2, Mac(1));
+  // Full. A fresh probe of device 1 sheds the OLDEST device-1 probe, not
+  // the newer one.
+  const std::uint64_t fresh = SubmitProbe(server, 3, Mac(1));
+  EXPECT_EQ(server.queue_depth(), 3u);
+  EXPECT_EQ(server.stats().shed, 1u);
+  EXPECT_EQ(CollectProbe(server, oldest).state, "superseded");
+  // Survivors keep FIFO order and the newcomer queues at the back: each
+  // collector finds its own probe at the front and serves one batch.
+  std::uint64_t batches = 0;
+  for (const std::uint64_t id : {other, newer, fresh}) {
+    EXPECT_EQ(CollectProbe(server, id).state, "served");
+    EXPECT_EQ(server.stats().batches, ++batches);
+  }
+}
+
+TEST(AdmissionQueue, FullQueueRejectsWhenNoSameDeviceVictimExists) {
+  IdentifyServer server(&SharedIdentifier(),
+                        {.queue_depth = 2, .batch_target = 16});
+  const std::uint64_t first = SubmitProbe(server, 0, Mac(1));
+  const std::uint64_t second = SubmitProbe(server, 1, Mac(2));
+  const std::uint64_t rejected = SubmitProbe(server, 2, Mac(3));
+  EXPECT_EQ(CollectProbe(server, rejected).state, "overloaded");
+  // The rejected probe left no trace: the other two are served as one
+  // batch of two.
+  EXPECT_EQ(server.queue_depth(), 2u);
+  EXPECT_EQ(server.stats().admitted, 2u);
+  EXPECT_EQ(CollectProbe(server, first).batch_size, 2u);
+  EXPECT_EQ(CollectProbe(server, second).batch_size, 2u);
+  EXPECT_EQ(server.stats().probes_served, 2u);
+}
+
+// --- HTTP facade (per-request formats) ---
 
 TEST(IdentifyServerHttp, JsonAndBinaryProbesServeTheSameVerdictBytes) {
   IdentifyServer server(&SharedIdentifier(),
@@ -310,7 +445,7 @@ TEST(IdentifyServerHttp, IngestSplitsAPcapPerDevice) {
   server.Start();
   devices::DeviceSimulator simulator(7);
   const auto episode = simulator.RunSetupEpisode(0);
-  const auto pcap = net::EncodePcap(episode.trace.frames());
+  const auto pcap = capture::EncodePcap(episode.trace.frames());
   std::string body(reinterpret_cast<const char*>(pcap.data()), pcap.size());
   const auto id =
       server.Submit("/ingest", "application/octet-stream", std::move(body));
@@ -411,7 +546,7 @@ TEST(IdentifyServerHttp, IngestFingerprintsWhatTheGatewayCaptures) {
 
   IdentifyServer server(&SharedIdentifier(),
                         {.queue_depth = 64, .batch_target = 4});
-  const auto pcap = net::EncodePcap(frames);
+  const auto pcap = capture::EncodePcap(frames);
   const auto response = server.Collect(server.Submit(
       "/ingest", "application/vnd.tcpdump.pcap",
       std::string(reinterpret_cast<const char*>(pcap.data()), pcap.size())));

@@ -3,10 +3,10 @@
 
 #include <set>
 
+#include "capture/trace.h"
 #include "devices/catalog.h"
 #include "devices/profiles.h"
 #include "devices/simulator.h"
-#include "net/pcap.h"
 
 namespace sentinel::devices {
 namespace {
@@ -154,14 +154,14 @@ TEST(Simulator, FingerprintNonEmptyForAllTypes) {
 TEST(Simulator, SetupTraceSurvivesPcapRoundTrip) {
   DeviceSimulator simulator(5);
   const auto episode = simulator.RunSetupEpisode(8);
-  const auto blob = net::EncodePcap(episode.trace.frames());
-  const auto restored = net::DecodePcap(blob);
-  ASSERT_EQ(restored.size(), episode.trace.size());
+  const auto restored =
+      capture::Trace::FromPcap(capture::EncodePcap(episode.trace.frames()));
+  ASSERT_TRUE(restored.has_value());
+  ASSERT_EQ(restored->size(), episode.trace.size());
   // Fingerprints extracted pre- and post-pcap must agree (timestamps lose
   // sub-microsecond precision, which the features never see).
-  capture::Trace restored_trace(restored);
   std::vector<net::ParsedPacket> device_packets;
-  for (const auto& p : restored_trace.Parse())
+  for (const auto& p : restored->Parse())
     if (p.src_mac == episode.device_mac) device_packets.push_back(p);
   const auto fp_restored =
       features::Fingerprint::FromPackets(device_packets);

@@ -83,7 +83,6 @@
 #include "devices/environment.h"
 #include "devices/simulator.h"
 #include "eval/experiment.h"
-#include "net/pcap.h"
 #include "netsim/drift.h"
 #include "obs/alerts.h"
 #include "obs/build_info.h"
@@ -281,7 +280,7 @@ int CmdRecord(const Options& options) {
           : simulator.RunSetupEpisode(
                 type, options.updated ? devices::FirmwareVersion::kUpdated
                                       : devices::FirmwareVersion::kFactory);
-  net::WritePcapFile(path, episode.trace.frames());
+  capture::WritePcapFile(path, episode.trace.frames());
   std::printf("wrote %zu frames (%s, %s traffic) to %s\n",
               episode.trace.size(), options.positional[1].c_str(),
               options.standby ? "standby"
@@ -289,6 +288,16 @@ int CmdRecord(const Options& options) {
                                                  : "setup"),
               path.c_str());
   return 0;
+}
+
+/// Reads a pcap file; malformed content throws with the typed parse error
+/// ("truncated_record at record 3: ...").
+capture::Trace LoadPcap(const std::string& path) {
+  capture::TraceError error;
+  auto trace = capture::ReadPcapFile(path, &error);
+  if (!trace)
+    throw std::runtime_error(path + ": malformed pcap: " + error.ToString());
+  return std::move(*trace);
 }
 
 /// One device's outcome from RunIdentificationPipeline.
@@ -319,8 +328,7 @@ std::vector<IdentifiedDevice> RunIdentificationPipeline(
     service.set_metrics(metrics);
   }
   std::vector<IdentifiedDevice> out;
-  for (const auto& capture : module.monitor().Replay(
-           capture::Trace(net::ReadPcapFile(pcap_path)))) {
+  for (const auto& capture : module.monitor().Replay(LoadPcap(pcap_path))) {
     out.push_back(IdentifiedDevice{capture.device_mac, capture.packet_count,
                                    module.Onboard(capture)});
   }
@@ -411,8 +419,7 @@ int CmdFingerprint(const Options& options) {
   if (options.positional.empty())
     throw std::runtime_error("fingerprint: need <capture.pcap>");
   core::DeviceMonitor monitor;
-  for (const auto& capture : monitor.Replay(
-           capture::Trace(net::ReadPcapFile(options.positional[0])))) {
+  for (const auto& capture : monitor.Replay(LoadPcap(options.positional[0]))) {
     const auto& fingerprint = capture.full;
     std::printf("%s: F is 23 x %zu\n", capture.device_mac.ToString().c_str(),
                 fingerprint.size());
